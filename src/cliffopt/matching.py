@@ -15,7 +15,21 @@ to the longer match, then to the lower rotation index.
 Interleaved gates are handled with per-wire commutation classes: gates
 acting diagonally in the Z basis on a wire (S, S-dagger, Z, CZ, a CX
 control) commute there, as do gates acting diagonally in the X basis
-(X, a CX target); anything else blocks the wire.
+(X, a CX target), and H and Y, which commute with each other up to a
+global phase. A matched gate moves left past the gates stepped over on
+a wire only if they all have its class there. A SWAP moves past no
+gate, and no gate moves past a pending SWAP.
+
+Three prunes skip work that cannot yield a rewrite, so the rewrites and
+their order are those of a full scan:
+
+- a match stops once its next template gate can no longer be matched
+  (see ``_match``);
+- a rotation is skipped when some gate of its shortest licensing
+  prefix has a kind the circuit has never held; that set of kinds only
+  grows, so it over-approximates the kinds present;
+- a sweep skips a position that found no rewrite and whose window, the
+  only gates ``_match`` reads, has not changed since.
 """
 
 from __future__ import annotations
@@ -28,10 +42,13 @@ from .templates import Template, builtin_templates
 
 _WINDOW = 64
 
-# Per-wire commutation classes.
+# Per-wire commutation classes. A pending mask ORs the classes of the
+# gates a match has stepped over on a wire.
 _DIAG_Z = 1
 _DIAG_X = 2
-_BLOCK = 4
+_HY = 4
+_BLOCK = 8
+
 
 def _wire_class(gate: Gate, wire: int) -> int:
     kind = gate.kind
@@ -41,13 +58,25 @@ def _wire_class(gate: Gate, wire: int) -> int:
         return _DIAG_Z if wire == gate.qubits[0] else _DIAG_X
     if kind == "x":
         return _DIAG_X
+    if kind in ("h", "y"):
+        return _HY
     return _BLOCK
 
 
-def _rotations(templates: Iterable[Template]) -> dict[str, list[tuple[Gate, ...]]]:
+def _passable(gate: Gate, wire: int) -> int:
+    """The nonzero pending mask the gate may move left past on the wire:
+    its own class, or none for a SWAP."""
+    cls = _wire_class(gate, wire)
+    return 0 if cls == _BLOCK else cls
+
+
+def _rotations(
+    templates: Iterable[Template],
+) -> dict[str, list[tuple[tuple[Gate, ...], frozenset[str]]]]:
     """All distinct rotations of the templates and their inverses,
-    indexed by the kind of their first gate."""
-    by_kind: dict[str, list[tuple[Gate, ...]]] = {}
+    indexed by the kind of their first gate. Each comes with the kinds a
+    licensed prefix must also contain: those of gates 1 to ceil(m/2) - 1."""
+    by_kind: dict[str, list[tuple[tuple[Gate, ...], frozenset[str]]]] = {}
     seen: set[tuple[Gate, ...]] = set()
     for template in templates:
         words = [template.gates]
@@ -59,7 +88,8 @@ def _rotations(templates: Iterable[Template]) -> dict[str, list[tuple[Gate, ...]
                 if rot in seen:
                     continue
                 seen.add(rot)
-                by_kind.setdefault(rot[0].kind, []).append(rot)
+                needs = frozenset(g.kind for g in rot[1:(m + 1) // 2])
+                by_kind.setdefault(rot[0].kind, []).append((rot, needs))
     return by_kind
 
 
@@ -91,11 +121,17 @@ def _bind_gate(
 
 
 def _movable(gate: Gate, pending_mask: dict[int, int]) -> bool:
-    for w in gate.qubits:
-        mask = pending_mask.get(w, 0)
-        if mask and mask != _wire_class(gate, w):
-            return False
-    return True
+    return all(
+        pending_mask.get(w, 0) in (0, _passable(gate, w)) for w in gate.qubits
+    )
+
+
+def _watched(t_gate: Gate, binding: dict[int, int]) -> dict[int, int]:
+    """The concrete qubits of t_gate's bound wires, each with the mask a
+    gate matching t_gate may pass there."""
+    return {
+        binding[w]: _passable(t_gate, w) for w in t_gate.qubits if w in binding
+    }
 
 
 def _match(
@@ -107,6 +143,13 @@ def _match(
     licenses a rewrite: it covers at least half the word and binds every
     wire of the remainder. Shorter prefixes need not be tried: each has a
     smaller binding, a longer remainder and a worse score (``_delta``).
+
+    The scan stops as soon as the next template gate can no longer be
+    matched. A gate matching it has its kind and orientation, so on each
+    already-bound wire it may pass only one pending mask (``_watched``).
+    Pending masks only grow, so once a watched wire's mask is another
+    value no later gate can match, and stopping returns what the full
+    scan of the window would.
     """
     binding = _bind_gate(rot[0], gates[i], {})
     if binding is None:
@@ -114,18 +157,28 @@ def _match(
     m = len(rot)
     matched_pos = [i]
     pending_mask: dict[int, int] = {}
+    watched = _watched(rot[1], binding) if m > 1 else {}
     end = min(len(gates), i + _WINDOW)
     for j in range(i + 1, end):
-        if len(matched_pos) == m:
+        p = len(matched_pos)
+        if p == m:
             break
         g = gates[j]
-        trial = _bind_gate(rot[len(matched_pos)], g, binding)
+        trial = _bind_gate(rot[p], g, binding)
         if trial is not None and _movable(g, pending_mask):
             matched_pos.append(j)
             binding = trial
+            if p + 1 < m:
+                watched = _watched(rot[p + 1], binding)
             continue
+        dead = False
         for w in g.qubits:
-            pending_mask[w] = pending_mask.get(w, 0) | _wire_class(g, w)
+            mask = pending_mask.get(w, 0) | _wire_class(g, w)
+            pending_mask[w] = mask
+            if w in watched and mask != watched[w]:
+                dead = True
+        if dead:
+            break
     p = len(matched_pos)
     if 2 * p < m or any(w not in binding for g in rot[p:] for w in g.qubits):
         return None
@@ -155,20 +208,33 @@ def match_and_apply(
     indexed in template order, each template's word before its inverse,
     and by rotation offset within a word; a rotation that repeats keeps
     its first index.
+
+    Sweeps repeat while some position is unsettled. A position settles
+    when it finds no rewrite, and unsettles when a rewrite changes its
+    window.
     """
     if templates is None:
         templates = builtin_templates()
     by_kind = _rotations(templates)
     gates = list(c.gates)
-    changed = True
-    while changed:
-        changed = False
+    # Every kind the circuit has held; it only over-approximates the
+    # kinds present, so a rotation it rules out cannot match.
+    present = {g.kind for g in gates}
+    # dirty[i]: gates[i:i + _WINDOW] changed since position i last found
+    # no rewrite.
+    dirty = [True] * len(gates)
+    while any(dirty):
         i = 0
         while i < len(gates):
+            if not dirty[i]:
+                i += 1
+                continue
             if deadline is not None and time.monotonic() > deadline:
                 return Circuit(c.n, tuple(gates))
             candidates = []
-            for index, rot in enumerate(by_kind.get(gates[i].kind, ())):
+            for index, (rot, needs) in enumerate(by_kind.get(gates[i].kind, ())):
+                if not needs <= present:
+                    continue
                 found = _match(gates, i, rot)
                 if found is None:
                     continue
@@ -177,6 +243,7 @@ def match_and_apply(
                 if delta < (0, 0):
                     candidates.append((delta, -p, index, rot, found))
             if not candidates:
+                dirty[i] = False
                 i += 1
                 continue
             # The index is unique, so min never compares rot or found.
@@ -185,11 +252,13 @@ def match_and_apply(
             replacement = [
                 g.inverse().relabeled(binding) for g in reversed(rot[p:])
             ]
+            present.update(g.kind for g in replacement)
             matched = set(matched_pos)
             last = matched_pos[-1]
             kept = [gates[j] for j in range(i, last + 1) if j not in matched]
             gates[i:last + 1] = replacement + kept
-            changed = True
+            dirty[i:last + 1] = [True] * (len(replacement) + len(kept))
+            dirty[max(0, i - _WINDOW + 1):i] = [True] * min(i, _WINDOW - 1)
     return Circuit(c.n, tuple(gates))
 
 
