@@ -14,7 +14,7 @@ from .circuit import (
     y,
     z,
 )
-from .pauli import PauliOperator, anticommute, conjugate_pauli, pauli_weight
+from .pauli import PauliOperator, anticommute, conjugate_pauli
 from .synth import (
     DisentangleResult,
     StandardFormPartition,
@@ -29,7 +29,6 @@ from .tableau import (
     CliffordTableau,
     circuit_to_tableau,
     random_clifford,
-    tableaus_equal,
 )
 
 __all__ = [
@@ -51,13 +50,11 @@ __all__ = [
     "greedy_bidirectional",
     "greedy_unidirectional",
     "h",
-    "pauli_weight",
     "random_clifford",
     "s",
     "sdg",
     "standard_form",
     "swap",
-    "tableaus_equal",
     "x",
     "y",
     "z",

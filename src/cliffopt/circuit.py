@@ -26,8 +26,6 @@ GATE_ARITY: dict[str, int] = {
 UNORDERED_KINDS = frozenset({"cz", "swap"})
 
 PAULI_KINDS = frozenset({"x", "y", "z"})
-SINGLE_QUBIT_KINDS = frozenset({"h", "s", "sdg", "x", "y", "z"})
-TWO_QUBIT_KINDS = frozenset({"cx", "cz", "swap"})
 
 # Contribution to the reporting metric: CX and CZ count 1, SWAP counts as
 # its three-CX expansion.
@@ -73,13 +71,6 @@ class Gate:
 
     def inverse(self) -> "Gate":
         return Gate(_INVERSE_KIND[self.kind], self.qubits)
-
-    def touches(self, qubit: int) -> bool:
-        return qubit in self.qubits
-
-    @property
-    def is_two_qubit(self) -> bool:
-        return self.kind in TWO_QUBIT_KINDS
 
     def relabeled(self, mapping) -> "Gate":
         """Return the gate with each qubit ``q`` replaced by ``mapping[q]``."""
@@ -159,10 +150,6 @@ class Circuit:
         """Two-qubit cost of the circuit: CX and CZ count 1, SWAP counts 3."""
         return sum(TWO_QUBIT_WEIGHT.get(g.kind, 0) for g in self.gates)
 
-    @property
-    def total_count(self) -> int:
-        return len(self.gates)
-
     def count_kind(self, kind: str) -> int:
         return sum(1 for g in self.gates if g.kind == kind)
 
@@ -200,7 +187,7 @@ class Circuit:
                     raise ValueError(
                         f"line {lineno}: expected 'qubits N' header, got {parts[0]!r}"
                     )
-                if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                     raise ValueError(
                         f"line {lineno}: malformed header {line!r}"
                     )
@@ -217,7 +204,8 @@ class Circuit:
                 )
             qubits = []
             for token in parts[1:]:
-                if not token.isdigit():
+                # isdecimal, unlike isdigit, rejects "²", which int() cannot read.
+                if not token.isdecimal():
                     raise ValueError(
                         f"line {lineno}: bad qubit index {token!r}"
                     )

@@ -169,41 +169,21 @@ class PauliOperator:
             raise ValueError(f"unknown gate kind {kind!r}")
         return PauliOperator(self.n, x, z, e)
 
-    def restricted(self, qubits: tuple[int, ...]) -> "PauliOperator":
-        """Project onto an ordered qubit subset that covers the support."""
-        x = z = 0
-        keep = 0
-        for local, q in enumerate(qubits):
-            x |= _bit(self.x_bits, q) << local
-            z |= _bit(self.z_bits, q) << local
-            keep |= 1 << q
-        if (self.x_bits | self.z_bits) & ~keep:
-            raise ValueError("support extends outside the given subset")
-        return PauliOperator(len(qubits), x, z, self.phase_exp)
-
-    def embedded(self, n: int, at: tuple[int, ...]) -> "PauliOperator":
-        """Embed into n qubits, sending local qubit j to ``at[j]``."""
-        x = z = 0
-        for local, q in enumerate(at):
-            x |= _bit(self.x_bits, local) << q
-            z |= _bit(self.z_bits, local) << q
-        return PauliOperator(n, x, z, self.phase_exp)
-
     def __str__(self) -> str:
         return self.to_label()
 
 
-def pauli_weight(p: PauliOperator) -> int:
-    """Number of qubits on which p acts non-trivially."""
-    return p.weight
+def anticommute_bits(x1: int, z1: int, x2: int, z2: int) -> bool:
+    """True when the operators with these component bits anticommute:
+    their symplectic product is odd."""
+    return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 1
 
 
 def anticommute(p: PauliOperator, q: PauliOperator) -> bool:
     """True when the two operators anticommute."""
     if p.n != q.n:
         raise ValueError(f"width mismatch: {p.n} vs {q.n}")
-    crossings = (p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()
-    return crossings % 2 == 1
+    return anticommute_bits(p.x_bits, p.z_bits, q.x_bits, q.z_bits)
 
 
 def conjugate_pauli(circuit: Circuit, p: PauliOperator) -> PauliOperator:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, PAULI_KINDS, cx, h, swap, x, y, z
-from .pauli import PauliOperator
+from .pauli import _AXIS_BITS, PauliOperator
 
 
 @dataclass(frozen=True)
@@ -65,51 +65,27 @@ def permutation_to_swaps(perm: tuple[int, ...]) -> list[Gate]:
     return gates
 
 
-def _compose_swap(perm: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """The permutation of (swap_ab then perm): w -> perm[swap(w)]."""
-    out = list(perm)
-    out[a], out[b] = perm[b], perm[a]
-    return tuple(out)
-
-
 def partition_stages(c: Circuit) -> StagePartition:
     """Factor c into compute, permutation, and Pauli stages."""
     n = c.n
     pauli = PauliOperator.identity(n)
-    perm = tuple(range(n))
+    # wire[w]: the compute-stage wire that holds what c has on wire w so far.
+    wire = list(range(n))
     compute: list[Gate] = []
     for g in c.gates:
         if g.kind in PAULI_KINDS:
+            xb, zb = _AXIS_BITS[g.kind.upper()]
             q = g.qubits[0]
-            xb = 1 << q if g.kind in ("x", "y") else 0
-            zb = 1 << q if g.kind in ("z", "y") else 0
-            step = PauliOperator(n, xb, zb, 0)
-            pauli = step * pauli
-        elif g.kind == "swap":
+            pauli = PauliOperator(n, xb << q, zb << q) * pauli
+            continue
+        pauli = pauli.conjugated(g)
+        if g.kind == "swap":
             a, b = g.qubits
-            xb, zb = pauli.x_bits, pauli.z_bits
-            pauli = PauliOperator(
-                n, _swap_bits(xb, a, b), _swap_bits(zb, a, b), pauli.phase_exp
-            )
-            perm = _compose_swap_left(perm, a, b)
+            wire[a], wire[b] = wire[b], wire[a]
         else:
-            pauli = pauli.conjugated(g)
-            inverse = [0] * n
-            for w, img in enumerate(perm):
-                inverse[img] = w
-            compute.append(g.relabeled(inverse))
+            compute.append(g.relabeled(wire))
+    perm = tuple(wire.index(w) for w in range(n))
     return StagePartition(Circuit(n, tuple(compute)), perm, pauli)
-
-
-def _swap_bits(bits: int, a: int, b: int) -> int:
-    t = ((bits >> a) ^ (bits >> b)) & 1
-    return bits ^ ((t << a) | (t << b))
-
-
-def _compose_swap_left(perm: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """The permutation of (perm then swap_ab): w -> swap(perm[w])."""
-    tr = {a: b, b: a}
-    return tuple(tr.get(img, img) for img in perm)
 
 
 def merge_swaps(p: StagePartition) -> Circuit:
@@ -124,27 +100,26 @@ def merge_swaps(p: StagePartition) -> Circuit:
     """
     n = p.compute.n
     gates = list(p.compute.gates)
-    perm = p.permutation
-    while perm != tuple(range(n)):
+    perm = list(p.permutation)
+    identity = list(range(n))
+    while perm != identity:
         pair = _latest_mergeable(gates, perm)
         if pair is None:
             a = next(w for w in range(n) if perm[w] != w)
             b = perm[a]
             gates += [cx(a, b), cx(b, a), cx(a, b)]
-            perm = _compose_swap(perm, a, b)
-            continue
-        idx, (a, b) = pair
-        g = gates[idx]
-        combo = _swap_combo(g)
-        relabel = {q: q for q in range(n)}
-        relabel[a], relabel[b] = b, a
-        suffix = [gg.relabeled(relabel) for gg in gates[idx + 1:]]
-        gates = gates[:idx] + combo + suffix
-        perm = _compose_swap(perm, a, b)
+        else:
+            idx, (a, b) = pair
+            relabel = list(identity)
+            relabel[a], relabel[b] = b, a
+            suffix = [g.relabeled(relabel) for g in gates[idx + 1:]]
+            gates = gates[:idx] + _swap_combo(gates[idx]) + suffix
+        # The permutation of (swap_ab then perm).
+        perm[a], perm[b] = perm[b], perm[a]
     return Circuit(n, tuple(gates))
 
 
-def _cycle_id(perm: tuple[int, ...]) -> dict[int, int]:
+def _cycle_id(perm: list[int]) -> dict[int, int]:
     label = {}
     for start in range(len(perm)):
         if start in label:
@@ -157,7 +132,7 @@ def _cycle_id(perm: tuple[int, ...]) -> dict[int, int]:
 
 
 def _latest_mergeable(
-    gates: list[Gate], perm: tuple[int, ...]
+    gates: list[Gate], perm: list[int]
 ) -> tuple[int, tuple[int, int]] | None:
     cycles = _cycle_id(perm)
     for idx in range(len(gates) - 1, -1, -1):

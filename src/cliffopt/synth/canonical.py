@@ -13,18 +13,7 @@ from __future__ import annotations
 
 from ..circuit import Circuit, Gate, cx, cz, h, s, x, z
 from ..tableau import CliffordTableau
-
-
-def _bits_from(mask: int, start: int) -> list[int]:
-    out = []
-    q = start
-    mask >>= start
-    while mask:
-        if mask & 1:
-            out.append(q)
-        mask >>= 1
-        q += 1
-    return out
+from .disentangle import _bits
 
 
 def ag_canonical(t: CliffordTableau) -> Circuit:
@@ -34,28 +23,27 @@ def ag_canonical(t: CliffordTableau) -> Circuit:
     cleaning: list[Gate] = []
 
     def emit(gate: Gate) -> None:
-        nonlocal work
         cleaning.append(gate)
-        work = work.apply_gate(gate)
+        work._apply_inplace(gate)
 
     for k in range(n):
         px, pz = work.row_bits(k)
         if px == 0:
-            emit(h(_bits_from(pz, k)[0]))
+            emit(h(_bits(pz, k)[0]))
             px, pz = work.row_bits(k)
         if not (px >> k) & 1:
-            emit(cx(_bits_from(px, k + 1)[0], k))
+            emit(cx(_bits(px, k + 1)[0], k))
             px, pz = work.row_bits(k)
-        for j in _bits_from(px, k + 1):
+        for j in _bits(px, k + 1):
             emit(cx(k, j))
         px, pz = work.row_bits(k)
-        for j in _bits_from(pz, k + 1):
+        for j in _bits(pz, k + 1):
             emit(cz(k, j))
         if (work.row_bits(k)[1] >> k) & 1:
             emit(s(k))
 
         qx, qz = work.row_bits(n + k)
-        for j in _bits_from(qx, k + 1):
+        for j in _bits(qx, k + 1):
             if (qz >> j) & 1:
                 emit(s(j))
             emit(h(j))
@@ -65,7 +53,7 @@ def ag_canonical(t: CliffordTableau) -> Circuit:
             emit(s(k))
             emit(h(k))
         qx, qz = work.row_bits(n + k)
-        for j in _bits_from(qz, k + 1):
+        for j in _bits(qz, k + 1):
             emit(cx(j, k))
 
         if work.row_phase(k) == 2:

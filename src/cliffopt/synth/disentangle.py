@@ -19,7 +19,7 @@ anchor to the requested target qubit. The CX count is exactly
 
 The returned circuit is the inverse of that cleaning sequence: it maps
 (X_t, Z_t) back to (O, O') under conjugation, and any SWAP it contains
-is its leading gate, recorded separately so callers may defer it.
+is its leading gate.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class DisentangleResult:
 
     circuit: Circuit
     cnot_cost: int
-    deferred_swap: tuple[int, int] | None
 
 
 def _class_masks(
@@ -96,9 +95,11 @@ def pair_cost_bits(x1: int, z1: int, x2: int, z2: int) -> int:
     return cost
 
 
-def _bits(mask: int) -> list[int]:
+def _bits(mask: int, start: int = 0) -> list[int]:
+    """Indices of the set bits of mask at or above start, ascending."""
     out = []
-    q = 0
+    q = start
+    mask >>= start
     while mask:
         if mask & 1:
             out.append(q)
@@ -118,18 +119,23 @@ def _check_pair(o: PauliOperator, o2: PauliOperator) -> None:
         )
 
 
+def _local_layer(o: PauliOperator, o2: PauliOperator) -> list[Gate]:
+    """Time-ordered single-qubit gates standardizing every supported qubit."""
+    return [
+        Gate(kind, (q,))
+        for q in _bits(o.x_bits | o.z_bits | o2.x_bits | o2.z_bits)
+        for kind in _LOCAL_WORDS[(o.axis(q), o2.axis(q))]
+    ]
+
+
 def standard_form(o: PauliOperator, o2: PauliOperator) -> StandardFormPartition:
     """Single-qubit layer standardizing the pair, and the class split."""
     _check_pair(o, o2)
     a, b, c, d = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
-    support = (o.x_bits | o.z_bits) | (o2.x_bits | o2.z_bits)
-    gates: list[Gate] = []
-    for q in _bits(support):
-        word = _LOCAL_WORDS[(o.axis(q), o2.axis(q))]
-        gates.extend(Gate(kind, (q,)) for kind in word)
+    support = a | b | c | d
     e = tuple(q for q in range(o.n) if not (support >> q) & 1)
     return StandardFormPartition(
-        local_layer=Circuit(o.n, tuple(gates)),
+        local_layer=Circuit(o.n, tuple(_local_layer(o, o2))),
         a=tuple(_bits(a)),
         b=tuple(_bits(b)),
         c=tuple(_bits(c)),
@@ -140,12 +146,11 @@ def standard_form(o: PauliOperator, o2: PauliOperator) -> StandardFormPartition:
 
 def clean_pair_gates(
     o: PauliOperator, o2: PauliOperator, target: int
-) -> tuple[list[Gate], tuple[int, int] | None, int]:
+) -> list[Gate]:
     """Time-ordered gates conjugating (o, o2) to exactly (X_t, Z_t).
 
-    Returns (gates, deferred_swap, cnot_cost). The trailing SWAP, when
-    the anchor lands away from the target, is included in the gate list
-    and also reported as deferred_swap.
+    The anchor a = min(A) is reduced first; when it is not the target, a
+    trailing SWAP moves it there. The CX count is ``pair_cost_bits``.
     """
     _check_pair(o, o2)
     if not 0 <= target < o.n:
@@ -161,9 +166,8 @@ def clean_pair_gates(
         o = o.conjugated(gate)
         o2 = o2.conjugated(gate)
 
-    for q in _bits(o.x_bits | o.z_bits | o2.x_bits | o2.z_bits):
-        for kind in _LOCAL_WORDS[(o.axis(q), o2.axis(q))]:
-            emit(Gate(kind, (q,)))
+    for gate in _local_layer(o, o2):
+        emit(gate)
 
     a_list = _bits(a_mask)
     anchor = a_list[0]
@@ -193,25 +197,17 @@ def clean_pair_gates(
     elif signs == (-1, -1):
         emit(y(anchor))
 
-    deferred: tuple[int, int] | None = None
     if anchor != target:
         emit(swap(target, anchor))
-        deferred = (min(target, anchor), max(target, anchor))
-
-    cost = (
-        c_mask.bit_count()
-        + d_mask.bit_count()
-        + 3 * (len(a_list) - 1) // 2
-        + (len(b_list) + 1 if b_list else 0)
-    )
-    return gates, deferred, cost
+    return gates
 
 
 def disentangler(o: PauliOperator, o2: PauliOperator) -> DisentangleResult:
     """Circuit L with L X_0 L^-1 = o and L Z_0 L^-1 = o2, sign exact."""
-    gates, deferred, cost = clean_pair_gates(o, o2, target=0)
+    gates = clean_pair_gates(o, o2, target=0)
     circuit = Circuit(o.n, tuple(g.inverse() for g in reversed(gates)))
-    return DisentangleResult(circuit=circuit, cnot_cost=cost, deferred_swap=deferred)
+    cost = pair_cost_bits(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
+    return DisentangleResult(circuit=circuit, cnot_cost=cost)
 
 
 def disentangle_cost(o: PauliOperator, o2: PauliOperator) -> int:

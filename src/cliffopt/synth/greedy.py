@@ -17,11 +17,12 @@ from bisect import insort
 from itertools import chain
 
 from ..circuit import Circuit, Gate
-from ..pauli import PauliOperator
+from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits
 from ..tableau import CliffordTableau
-from .disentangle import clean_pair_gates, pair_cost_bits
+from .disentangle import _class_masks, clean_pair_gates, pair_cost_bits
 
-_AX = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+# With an rng, the bidirectional scan draws from this many cheapest candidates.
+_POOL = 4
 
 # Ordered anticommuting letter pairs on a single shared qubit. (X, Z)
 # leads so that cost ties resolve to the pair needing no local gates.
@@ -35,14 +36,10 @@ Support = tuple[tuple[int, str], ...]
 def _support_bits(ops: Support) -> tuple[int, int]:
     xb = zb = 0
     for slot, letter in ops:
-        xv, zv = _AX[letter]
+        xv, zv = _AXIS_BITS[letter]
         xb |= xv << slot
         zb |= zv << slot
     return xb, zb
-
-
-def _anticommute_bits(x1: int, z1: int, x2: int, z2: int) -> bool:
-    return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 1
 
 
 def _build_pair_patterns() -> tuple[tuple[Support, Support, int], ...]:
@@ -61,7 +58,7 @@ def _build_pair_patterns() -> tuple[tuple[Support, Support, int], ...]:
         x1, z1 = _support_bits(ops1)
         for ops2 in singles:
             x2, z2 = _support_bits(ops2)
-            if not _anticommute_bits(x1, z1, x2, z2):
+            if not anticommute_bits(x1, z1, x2, z2):
                 continue
             if (x1 | z1 | x2 | z2) != 3:
                 continue
@@ -91,11 +88,7 @@ _TRIPLE_PATTERNS = _build_triple_patterns()
 
 
 def _pauli_from_support(n: int, sup: Support) -> PauliOperator:
-    xb = zb = 0
-    for q, letter in sup:
-        xv, zv = _AX[letter]
-        xb |= xv << q
-        zb |= zv << q
+    xb, zb = _support_bits(sup)
     return PauliOperator(n, xb, zb, (xb & zb).bit_count() % 4)
 
 
@@ -122,7 +115,7 @@ def greedy_unidirectional(
                     *work.row_bits(q), *work.row_bits(n + q)
                 ),
             )
-        d_gates, _, _ = clean_pair_gates(work.row(p), work.row(n + p), target=p)
+        d_gates = clean_pair_gates(work.row(p), work.row(n + p), target=p)
         work = work.apply_circuit(Circuit(n, tuple(d_gates)))
         parts.append([g.inverse() for g in reversed(d_gates)])
         act.remove(p)
@@ -132,7 +125,7 @@ def greedy_unidirectional(
 
 
 def greedy_bidirectional(
-    t: CliffordTableau, rng: random.Random | None = None, pool: int = 4
+    t: CliffordTableau, rng: random.Random | None = None
 ) -> Circuit:
     """Synthesize a circuit for t, emitting gates on both sides.
 
@@ -140,15 +133,16 @@ def greedy_bidirectional(
     two whose supports overlap, scores them by the reduction cost of
     (P, P') plus that of their images, and reduces the best onto a fresh
     qubit from both ends. Without an rng the scan keeps the first
-    cheapest candidate; with one it draws uniformly from the `pool`
-    cheapest.
+    cheapest candidate; with one it draws uniformly from the four
+    cheapest. The left reduction lands on the anchor of the images, so
+    it needs no SWAP; the right one may end with a SWAP onto it.
     """
     n = t.n
     work = t.copy()
     act = set(range(n))
     left_parts: list[list[Gate]] = []
     right_parts: list[list[Gate]] = []
-    keep = 1 if rng is None else pool
+    keep = 1 if rng is None else _POOL
     while act:
         ordered = sorted(act)
         contrib: dict[tuple[int, str], tuple[int, int]] = {}
@@ -214,12 +208,12 @@ def greedy_bidirectional(
         p2 = _pauli_from_support(n, sup2)
         o = work.conjugate(p)
         o2 = work.conjugate(p2)
-        a_mask, _, _, _ = _image_classes(o, o2)
+        a_mask, _, _, _ = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
         j = (a_mask & -a_mask).bit_length() - 1
-        dl_gates, dl_swap, _ = clean_pair_gates(o, o2, target=j)
-        if dl_swap is not None:
+        dl_gates = clean_pair_gates(o, o2, target=j)
+        if dl_gates and dl_gates[-1].kind == "swap":
             raise AssertionError("left reduction should land on its anchor")
-        dr_gates, _, _ = clean_pair_gates(p, p2, target=j)
+        dr_gates = clean_pair_gates(p, p2, target=j)
         work = work.apply_circuit(Circuit(n, tuple(dl_gates)))
         work = work.right_apply_circuit(Circuit(n, tuple(dr_gates)).inverse())
         left_parts.append([g.inverse() for g in reversed(dl_gates)])
@@ -234,11 +228,3 @@ def greedy_bidirectional(
         )
     )
     return Circuit(n, gates)
-
-
-def _image_classes(o: PauliOperator, o2: PauliOperator) -> tuple[int, int, int, int]:
-    occ1 = o.x_bits | o.z_bits
-    occ2 = o2.x_bits | o2.z_bits
-    diff = (o.x_bits ^ o2.x_bits) | (o.z_bits ^ o2.z_bits)
-    both = occ1 & occ2
-    return both & diff, both & ~diff, occ1 & ~occ2, occ2 & ~occ1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from .circuit import Circuit, Gate
-from .pauli import PauliOperator
+from .pauli import PauliOperator, anticommute_bits
 
 
 class CliffordTableau:
@@ -141,11 +141,6 @@ class CliffordTableau:
         else:  # pragma: no cover
             raise ValueError(f"unknown gate kind {kind!r}")
 
-    def apply_gate(self, gate: Gate) -> "CliffordTableau":
-        out = self.copy()
-        out._apply_inplace(gate)
-        return out
-
     def apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
         if circuit.n != self.n:
             raise ValueError(f"width mismatch: {circuit.n} vs {self.n}")
@@ -157,66 +152,16 @@ class CliffordTableau:
     # ------------------------------------------------------------------
     # Right application: tableau of (U . gate)
 
-    def _swap_rows(self, r1: int, r2: int) -> None:
-        for cols in (self._x, self._z):
-            for q in range(self.n):
-                t = ((cols[q] >> r1) ^ (cols[q] >> r2)) & 1
-                cols[q] ^= (t << r1) | (t << r2)
-        for plane in ("_e0", "_e1"):
-            v = getattr(self, plane)
-            t = ((v >> r1) ^ (v >> r2)) & 1
-            setattr(self, plane, v ^ ((t << r1) | (t << r2)))
-
-    def _row_mul(self, dest: int, src: int, extra_phase: int = 0) -> None:
-        """Replace row dest by (row dest) * (row src) * i**extra_phase."""
-        p = self.row(dest) * self.row(src)
-        self._set_row(dest, PauliOperator(self.n, p.x_bits, p.z_bits,
-                                          p.phase_exp + extra_phase))
-
-    def _negate_row(self, r: int) -> None:
-        self._e1 ^= 1 << r
-
     def _right_apply_inplace(self, gate: Gate) -> None:
+        # Row r of U.G is U (G P_r G^-1) U^-1 for P_r = X_r or Z_{r-n};
+        # only the rows of the gate's qubits change.
         n = self.n
-        kind = gate.kind
-        if kind == "h":
-            (q,) = gate.qubits
-            self._swap_rows(q, n + q)
-        elif kind == "s":
-            (q,) = gate.qubits
-            self._row_mul(q, n + q, extra_phase=1)  # S X S^-1 = i X Z
-        elif kind == "sdg":
-            (q,) = gate.qubits
-            self._row_mul(q, n + q, extra_phase=3)
-        elif kind == "x":
-            (q,) = gate.qubits
-            self._negate_row(n + q)
-        elif kind == "y":
-            (q,) = gate.qubits
-            self._negate_row(q)
-            self._negate_row(n + q)
-        elif kind == "z":
-            (q,) = gate.qubits
-            self._negate_row(q)
-        elif kind == "cx":
-            c, t = gate.qubits
-            self._row_mul(c, t)          # X_c -> X_c X_t
-            self._row_mul(n + t, n + c)  # Z_t -> Z_c Z_t
-        elif kind == "cz":
-            a, b = gate.qubits
-            self._row_mul(a, n + b)      # X_a -> X_a Z_b
-            self._row_mul(b, n + a)
-        elif kind == "swap":
-            a, b = gate.qubits
-            self._swap_rows(a, b)
-            self._swap_rows(n + a, n + b)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown gate kind {kind!r}")
-
-    def right_apply_gate(self, gate: Gate) -> "CliffordTableau":
-        out = self.copy()
-        out._right_apply_inplace(gate)
-        return out
+        images = {}
+        for q in gate.qubits:
+            images[q] = self.conjugate(PauliOperator(n, 1 << q, 0).conjugated(gate))
+            images[n + q] = self.conjugate(PauliOperator(n, 0, 1 << q).conjugated(gate))
+        for r, image in images.items():
+            self._set_row(r, image)
 
     def right_apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
         """Tableau of U . C where C is the circuit unitary."""
@@ -296,13 +241,6 @@ def circuit_to_tableau(circuit: Circuit) -> CliffordTableau:
     return CliffordTableau.identity(circuit.n).apply_circuit(circuit)
 
 
-def tableaus_equal(a: CliffordTableau, b: CliffordTableau) -> bool:
-    """Exact equality of all 2n rows including signs."""
-    if a.n != b.n:
-        raise ValueError(f"width mismatch: {a.n} vs {b.n}")
-    return a == b
-
-
 def random_clifford(n: int, seed: int) -> CliffordTableau:
     """A uniformly random n-qubit Clifford tableau, deterministic in seed.
 
@@ -318,7 +256,7 @@ def random_clifford(n: int, seed: int) -> CliffordTableau:
     tab = CliffordTableau.identity(n)
     for m in range(1, n + 1):
         o, o2 = _random_anticommuting_pair(rng, m, n)
-        d_gates, _, _ = clean_pair_gates(o, o2, target=m - 1)
+        d_gates = clean_pair_gates(o, o2, target=m - 1)
         # The creation circuit is the inverse of the cleaning sequence.
         for gate in reversed(d_gates):
             tab._apply_inplace(gate.inverse())
@@ -340,7 +278,7 @@ def _random_anticommuting_pair(
     while True:
         bits = rng.getrandbits(2 * m)
         x2, z2 = bits & mask, bits >> m
-        if ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 1:
+        if anticommute_bits(x1, z1, x2, z2):
             break
     y2 = (x2 & z2).bit_count()
     o2 = PauliOperator(n, x2, z2, (y2 + 2 * rng.getrandbits(1)) % 4)

@@ -40,7 +40,7 @@ def test_gate_inverse():
 
 
 def test_circuit_counts():
-    assert SAMPLE.total_count == 9
+    assert len(SAMPLE) == 9
     # cx + cz + swap with swap counting as three.
     assert SAMPLE.two_qubit_count == 5
     assert SAMPLE.count_kind("h") == 1
@@ -104,6 +104,8 @@ def test_text_comments_and_blanks():
         ("qubits 2\ncx 0\n", "line 2"),
         ("qubits 2\ncx 1 1\n", "line 2"),
         ("qubits 2\nh x\n", "line 2"),
+        ("qubits \u00b2\n", "line 1"),
+        ("qubits 2\nh \u00b2\n", "line 2"),
         ("", "missing"),
     ],
 )

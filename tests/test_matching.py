@@ -12,7 +12,6 @@ from cliffopt import (
     s,
     sdg,
     swap,
-    tableaus_equal,
     x,
     y,
     z,
@@ -103,8 +102,8 @@ def test_binding_is_injective():
 def test_partial_match_uses_inverted_remainder():
     c = Circuit(1, (s(0), h(0), s(0), h(0)))
     out = match_and_apply(c, _by_id("sh_cycle"))
-    assert out.total_count == 2
-    assert tableaus_equal(circuit_to_tableau(out), circuit_to_tableau(c))
+    assert len(out) == 2
+    assert circuit_to_tableau(out) == circuit_to_tableau(c)
 
 
 def test_odd_cz_chain_keeps_one():
@@ -127,10 +126,10 @@ def test_rewrites_preserve_tableau():
         circuits.append(random_circuit(rng, n, rng.randrange(0, 40)))
     for c in circuits:
         out = match_and_apply(c)
-        assert tableaus_equal(circuit_to_tableau(out), circuit_to_tableau(c))
-        assert (out.two_qubit_count, out.total_count) <= (
+        assert circuit_to_tableau(out) == circuit_to_tableau(c)
+        assert (out.two_qubit_count, len(out)) <= (
             c.two_qubit_count,
-            c.total_count,
+            len(c),
         )
 
 
@@ -158,7 +157,7 @@ def test_to_cz_form():
         out = to_cz_form(c)
         assert out.count_kind("cx") == 0
         assert out.two_qubit_count == c.two_qubit_count
-        assert tableaus_equal(circuit_to_tableau(out), circuit_to_tableau(c))
+        assert circuit_to_tableau(out) == circuit_to_tableau(c)
 
 
 def test_push_singles_moves():
@@ -181,14 +180,12 @@ def test_push_singles_preserves_tableau():
         for _ in range(25):
             c = random_circuit(rng, 4, 30)
             out = push_singles(c, direction)
-            assert tableaus_equal(
-                circuit_to_tableau(out), circuit_to_tableau(c)
-            )
+            assert circuit_to_tableau(out) == circuit_to_tableau(c)
 
 
 def test_reduce_single_qubit():
     c = Circuit(2, (h(0), h(0), cz(0, 1), s(0), h(0), s(0), h(0), s(0), h(0)))
     out = reduce_single_qubit(c)
     assert out.two_qubit_count == c.two_qubit_count
-    assert out.total_count < c.total_count
-    assert tableaus_equal(circuit_to_tableau(out), circuit_to_tableau(c))
+    assert len(out) < len(c)
+    assert circuit_to_tableau(out) == circuit_to_tableau(c)

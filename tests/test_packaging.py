@@ -1,4 +1,4 @@
-"""The package metadata declares what the package imports, and no more."""
+"""Package hygiene: declared dependencies match imports, and every definition is used."""
 
 import ast
 import re
@@ -29,3 +29,47 @@ def test_dependencies_match_imports():
         for spec in project["dependencies"]
     }
     assert declared == _third_party_imports()
+
+
+def _definitions(tree: ast.Module) -> set[str]:
+    """Top-level functions, classes and constants, plus the methods and
+    fields of top-level classes."""
+    names: set[str] = set()
+    for node in tree.body:
+        body = [node]
+        if isinstance(node, ast.ClassDef):
+            body += node.body
+        for item in body:
+            if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                names.add(item.name)
+            elif isinstance(item, ast.Assign):
+                names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names.add(item.target.id)
+    return {name for name in names if not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+    return names
+
+
+def test_every_definition_is_referenced():
+    defined: set[str] = set()
+    used: set[str] = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            used |= _references(tree)
+            if top == "src":
+                defined |= _definitions(tree)
+    assert sorted(defined - used) == []

@@ -13,7 +13,6 @@ from cliffopt import (
     cx,
     cz,
     h,
-    pauli_weight,
     s,
     sdg,
     swap,
@@ -109,7 +108,7 @@ def test_hermitian_and_sign():
 
 def test_weight_and_y_count():
     p = PauliOperator.from_label("XYZI")
-    assert p.weight == 3 and pauli_weight(p) == 3
+    assert p.weight == 3
     assert p.y_count == 1
     assert PauliOperator.identity(4).is_identity
 
@@ -126,15 +125,6 @@ def test_anticommute_matches_dense():
 def test_axis_letters():
     p = PauliOperator.from_label("XYZI")
     assert [p.axis(q) for q in range(4)] == ["X", "Y", "Z", "I"]
-
-
-def test_restricted_and_embedded():
-    p = PauliOperator.from_label("IXIY")
-    small = p.restricted((1, 3))
-    assert small.to_label() == "+XY"
-    assert small.embedded(4, (1, 3)) == p
-    with pytest.raises(ValueError):
-        p.restricted((1,))
 
 
 GATE_POOL = [
