@@ -38,7 +38,7 @@ import time
 from typing import Iterable, Sequence
 
 from .circuit import Circuit, Gate, TWO_QUBIT_WEIGHT, cx, h
-from .templates import Template, builtin_templates
+from .templates import Template, builtin_templates, template_is_identity
 
 _WINDOW = 64
 
@@ -212,9 +212,20 @@ def match_and_apply(
     Sweeps repeat while some position is unsettled. A position settles
     when it finds no rewrite, and unsettles when a rewrite changes its
     window.
+
+    Caller templates are checked first: one whose word is not the
+    identity raises a ``ValueError`` naming its id. ``deadline`` is a
+    ``time.monotonic()`` value; once it has passed, the pass returns the
+    circuit rewritten so far, which still implements the input.
     """
     if templates is None:
         templates = builtin_templates()
+    else:
+        for template in templates:
+            if not template_is_identity(template):
+                raise ValueError(
+                    f"template {template.id!r} is not an identity word"
+                )
     by_kind = _rotations(templates)
     gates = list(c.gates)
     # Every kind the circuit has held; it only over-approximates the

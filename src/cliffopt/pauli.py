@@ -121,56 +121,69 @@ class PauliOperator:
 
     def conjugated(self, gate: Gate) -> "PauliOperator":
         """The image of self under conjugation by a single gate."""
-        x, z, e = self.x_bits, self.z_bits, self.phase_exp
-        kind = gate.kind
-        if max(gate.qubits) >= self.n:
+        qubits = gate.qubits
+        if max(qubits) >= self.n:
             raise ValueError(f"gate {gate} out of range for {self.n} qubit(s)")
-        if kind == "h":
-            (q,) = gate.qubits
-            xq, zq = _bit(x, q), _bit(z, q)
-            e += 2 * (xq & zq)
-            x ^= (xq ^ zq) << q
-            z ^= (xq ^ zq) << q
-        elif kind == "s":
-            (q,) = gate.qubits
-            xq = _bit(x, q)
-            e += xq
-            z ^= xq << q
-        elif kind == "sdg":
-            (q,) = gate.qubits
-            xq = _bit(x, q)
-            e += 3 * xq
-            z ^= xq << q
-        elif kind == "x":
-            (q,) = gate.qubits
-            e += 2 * _bit(z, q)
-        elif kind == "y":
-            (q,) = gate.qubits
-            e += 2 * (_bit(x, q) ^ _bit(z, q))
-        elif kind == "z":
-            (q,) = gate.qubits
-            e += 2 * _bit(x, q)
-        elif kind == "cx":
-            c, t = gate.qubits
-            x ^= _bit(x, c) << t
-            z ^= _bit(z, t) << c
-        elif kind == "cz":
-            a, b = gate.qubits
-            e += 2 * (_bit(x, a) & _bit(x, b))
-            z ^= _bit(x, b) << a
-            z ^= _bit(x, a) << b
-        elif kind == "swap":
-            a, b = gate.qubits
-            xa, xb = _bit(x, a), _bit(x, b)
-            za, zb = _bit(z, a), _bit(z, b)
-            x ^= ((xa ^ xb) << a) | ((xa ^ xb) << b)
-            z ^= ((za ^ zb) << a) | ((za ^ zb) << b)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown gate kind {kind!r}")
-        return PauliOperator(self.n, x, z, e)
+        # One-bit columns of the gate's qubits: this row is a one-row tableau.
+        x_bits, z_bits = self.x_bits, self.z_bits
+        x, z = {}, {}
+        for q in qubits:
+            x[q] = (x_bits >> q) & 1
+            z[q] = (z_bits >> q) & 1
+        e = self.phase_exp
+        e0, e1 = conjugate_columns(gate, x, z, e & 1, e >> 1)
+        for q in qubits:
+            x_bits ^= (((x_bits >> q) & 1) ^ x[q]) << q
+            z_bits ^= (((z_bits >> q) & 1) ^ z[q]) << q
+        return PauliOperator(self.n, x_bits, z_bits, e0 + 2 * e1)
 
     def __str__(self) -> str:
         return self.to_label()
+
+
+def conjugate_columns(
+    gate: Gate, x, z, e0: int, e1: int
+) -> tuple[int, int]:
+    """Conjugate a stack of Pauli rows by one gate: row r becomes g P_r g^-1.
+
+    Bit r of the columns ``x[q]`` and ``z[q]`` is row r's X / Z component
+    on qubit q, and row r's phase is i**(e0_r + 2*e1_r), X before Z. The
+    gate's columns are updated in place; the new phase planes are
+    returned. This one rule serves both a tableau, with 2n-row columns,
+    and a single Pauli row, with one-bit columns of the gate's qubits.
+    """
+    kind = gate.kind
+    # a is the only qubit, the CX control or the first two-qubit operand.
+    a, b = gate.qubits[0], gate.qubits[-1]
+    if kind == "h":
+        e1 ^= x[a] & z[a]
+        x[a], z[a] = z[a], x[a]
+    elif kind == "s":
+        e1 ^= e0 & x[a]
+        e0 ^= x[a]
+        z[a] ^= x[a]
+    elif kind == "sdg":
+        e1 ^= ~e0 & x[a]
+        e0 ^= x[a]
+        z[a] ^= x[a]
+    elif kind == "x":
+        e1 ^= z[a]
+    elif kind == "y":
+        e1 ^= x[a] ^ z[a]
+    elif kind == "z":
+        e1 ^= x[a]
+    elif kind == "cx":
+        x[b] ^= x[a]
+        z[a] ^= z[b]
+    elif kind == "cz":
+        e1 ^= x[a] & x[b]
+        z[a], z[b] = z[a] ^ x[b], z[b] ^ x[a]
+    elif kind == "swap":
+        x[a], x[b] = x[b], x[a]
+        z[a], z[b] = z[b], z[a]
+    else:  # pragma: no cover
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return e0, e1
 
 
 def anticommute_bits(x1: int, z1: int, x2: int, z2: int) -> bool:

@@ -30,10 +30,19 @@ class StagePartition:
     permutation: tuple[int, ...]
     pauli: PauliOperator
 
+    def __post_init__(self) -> None:
+        n = self.compute.n
+        if sorted(self.permutation) != list(range(n)):
+            raise ValueError(
+                f"permutation {self.permutation} does not permute range({n})"
+            )
+        if self.pauli.n != n:
+            raise ValueError(f"pauli has {self.pauli.n} qubit(s), compute {n}")
+
     def to_circuit(self) -> Circuit:
         """Expand back into one circuit with explicit SWAPs and Paulis."""
         gates = list(self.compute.gates)
-        gates += permutation_to_swaps(self.permutation)
+        gates += [swap(a, b) for a, b in _transpositions(self.permutation)]
         gates += pauli_layer_gates(self.pauli)
         return Circuit(self.compute.n, tuple(gates))
 
@@ -51,18 +60,18 @@ def pauli_layer_gates(p: PauliOperator) -> list[Gate]:
     return gates
 
 
-def permutation_to_swaps(perm: tuple[int, ...]) -> list[Gate]:
-    """Time-ordered SWAP gates realizing the permutation action."""
-    gates: list[Gate] = []
+def _transpositions(perm) -> list[tuple[int, int]]:
+    """Wire pairs (a, b) whose SWAPs, in this time order, realize perm:
+    the lowest unfixed wire a and b = perm[a], then the same for the
+    permutation of (swap_ab then rest), n - cycles pairs in all."""
     cur = list(perm)
-    # Selection sort toward the identity; emission order is time order.
-    for w in range(len(cur)):
-        if cur[w] == w:
-            continue
-        src = cur.index(w)
-        gates.append(swap(w, src))
-        cur[w], cur[src] = cur[src], cur[w]
-    return gates
+    pairs = []
+    for a in range(len(cur)):
+        while cur[a] != a:
+            b = cur[a]
+            pairs.append((a, b))
+            cur[a], cur[b] = cur[b], cur[a]
+    return pairs
 
 
 def partition_stages(c: Circuit) -> StagePartition:
@@ -91,60 +100,64 @@ def partition_stages(c: Circuit) -> StagePartition:
 def merge_swaps(p: StagePartition) -> Circuit:
     """One circuit for (compute then permutation), absorbing the SWAPs.
 
-    Walking the permutation down to the identity: each round either
-    fuses a transposition into the latest two-qubit gate whose wires sit
-    in one permutation cycle (a CX plus a SWAP is two back-to-back CX;
-    a CZ plus a SWAP is two CX in an H sandwich), or, when no such gate
-    exists, appends an explicit three-CX expansion at the end. The
-    Pauli stage is not included.
+    The transposition (a b) fuses into a two-qubit gate on wires a and b
+    in one permutation cycle (CX plus SWAP is two CX; CZ plus SWAP is two
+    CX in an H sandwich). The later gates are relabeled by (a b), and the
+    permutation left is perm o (a b): the cycle of a and b splits. What
+    no gate absorbs is appended as three-CX SWAPs. The Pauli stage is
+    not included.
+
+    One scan from the last gate to the first decides every fusion.
+    Cycles only get finer: relabeled by (a b), the later gates meet the
+    cycles of perm o (a b) as they met those of (a b) o perm, and both
+    refine the cycles of perm. So a gate the scan has passed can never
+    become mergeable, and the scan fuses what repeatedly taking the
+    latest mergeable gate would.
     """
     n = p.compute.n
-    gates = list(p.compute.gates)
+    gates = p.compute.gates
     perm = list(p.permutation)
-    identity = list(range(n))
-    while perm != identity:
-        pair = _latest_mergeable(gates, perm)
-        if pair is None:
-            a = next(w for w in range(n) if perm[w] != w)
-            b = perm[a]
-            gates += [cx(a, b), cx(b, a), cx(a, b)]
-        else:
-            idx, (a, b) = pair
-            relabel = list(identity)
-            relabel[a], relabel[b] = b, a
-            suffix = [g.relabeled(relabel) for g in gates[idx + 1:]]
-            gates = gates[:idx] + _swap_combo(gates[idx]) + suffix
-        # The permutation of (swap_ab then perm).
-        perm[a], perm[b] = perm[b], perm[a]
-    return Circuit(n, tuple(gates))
-
-
-def _cycle_id(perm: list[int]) -> dict[int, int]:
-    label = {}
-    for start in range(len(perm)):
-        if start in label:
-            continue
-        w = start
-        while w not in label:
-            label[w] = start
-            w = perm[w]
-    return label
-
-
-def _latest_mergeable(
-    gates: list[Gate], perm: list[int]
-) -> tuple[int, tuple[int, int]] | None:
-    cycles = _cycle_id(perm)
-    for idx in range(len(gates) - 1, -1, -1):
-        g = gates[idx]
-        if len(g.qubits) != 2:
-            continue
-        a, b = g.qubits
+    # cycle[w] names the cycle of w by one of its wires.
+    cycle = [-1] * n
+    for w in range(n):
+        if cycle[w] < 0:
+            _label_cycle(perm, cycle, w)
+    fused = set()
+    for i in range(len(gates) - 1, -1, -1):
+        qubits = gates[i].qubits
         # Same cycle implies a non-trivial one: distinct fixed points
         # sit in distinct singleton cycles.
-        if cycles[a] == cycles[b]:
-            return idx, (a, b)
-    return None
+        if len(qubits) == 2 and cycle[qubits[0]] == cycle[qubits[1]]:
+            a, b = qubits
+            fused.add(i)
+            # The permutation of (swap_ab then perm).
+            perm[a], perm[b] = perm[b], perm[a]
+            _label_cycle(perm, cycle, a)
+            _label_cycle(perm, cycle, b)
+    # relabel[w]: the wire that the fusions so far have moved wire w to.
+    relabel = list(range(n))
+    out: list[Gate] = []
+    for i, g in enumerate(gates):
+        if i in fused:
+            # Relabel the combo, not g: CZ sorts its operands, so the
+            # combo of a relabeled CZ can list its gates differently.
+            out += [c.relabeled(relabel) for c in _swap_combo(g)]
+            a, b = g.qubits
+            relabel[a], relabel[b] = relabel[b], relabel[a]
+        else:
+            out.append(g.relabeled(relabel))
+    for a, b in _transpositions(perm):
+        out += [cx(a, b), cx(b, a), cx(a, b)]
+    return Circuit(n, tuple(out))
+
+
+def _label_cycle(perm: list[int], cycle: list[int], start: int) -> None:
+    w = start
+    while True:
+        cycle[w] = start
+        w = perm[w]
+        if w == start:
+            return
 
 
 def _swap_combo(g: Gate) -> list[Gate]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from itertools import chain
+from itertools import chain, combinations, permutations
 
 from ..circuit import Circuit, Gate
 from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits
@@ -24,10 +24,13 @@ from .disentangle import _class_masks, clean_pair_gates, pair_cost_bits
 # With an rng, the bidirectional scan draws from this many cheapest candidates.
 _POOL = 4
 
-# Ordered anticommuting letter pairs on a single shared qubit. (X, Z)
+# Ordered anticommuting letter pairs on one slot; they need no CX. (X, Z)
 # leads so that cost ties resolve to the pair needing no local gates.
-_SINGLE_LETTER_PAIRS = (
-    ("X", "Z"), ("X", "Y"), ("Y", "X"), ("Y", "Z"), ("Z", "X"), ("Z", "Y")
+_SINGLE_PATTERNS = tuple(
+    (((0, l1),), ((0, l2),), 0)
+    for l1, l2 in (
+        ("X", "Z"), ("X", "Y"), ("Y", "X"), ("Y", "Z"), ("Z", "X"), ("Z", "Y")
+    )
 )
 
 Support = tuple[tuple[int, str], ...]
@@ -175,33 +178,20 @@ def greedy_bidirectional(
                     best.pop()
             idx += 1
 
-        for q in ordered:
-            for l1, l2 in _SINGLE_LETTER_PAIRS:
-                consider(((q, l1),), ((q, l2),), 0)
-        for i, q in enumerate(ordered):
-            for r in ordered[i + 1:]:
-                qubits = (q, r)
-                for ops1, ops2, pcost in _PAIR_PATTERNS:
+        # Slot s of a pattern names qubits[s]. The qubit tuples come in
+        # the scan order that fixes the candidate indices and so the ties.
+        for qubit_tuples, patterns in (
+            (permutations(ordered, 1), _SINGLE_PATTERNS),
+            (combinations(ordered, 2), _PAIR_PATTERNS),
+            (permutations(ordered, 3), _TRIPLE_PATTERNS),
+        ):
+            for qubits in qubit_tuples:
+                for ops1, ops2, pcost in patterns:
                     consider(
                         tuple((qubits[s], l) for s, l in ops1),
                         tuple((qubits[s], l) for s, l in ops2),
                         pcost,
                     )
-        if len(ordered) >= 3:
-            for s_q in ordered:
-                for x_q in ordered:
-                    if x_q == s_q:
-                        continue
-                    for y_q in ordered:
-                        if y_q == s_q or y_q == x_q:
-                            continue
-                        qubits = (s_q, x_q, y_q)
-                        for ops1, ops2, pcost in _TRIPLE_PATTERNS:
-                            consider(
-                                tuple((qubits[s], l) for s, l in ops1),
-                                tuple((qubits[s], l) for s, l in ops2),
-                                pcost,
-                            )
 
         _, _, sup1, sup2 = best[0 if rng is None else rng.randrange(len(best))]
         p = _pauli_from_support(n, sup1)

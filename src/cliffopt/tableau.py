@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from .circuit import Circuit, Gate
-from .pauli import PauliOperator, anticommute_bits
+from .pauli import PauliOperator, anticommute_bits, conjugate_columns
 
 
 class CliffordTableau:
@@ -97,49 +97,9 @@ class CliffordTableau:
     # Left application: tableau of (gate . U)
 
     def _apply_inplace(self, gate: Gate) -> None:
-        kind = gate.kind
-        x, z = self._x, self._z
-        if kind == "h":
-            (q,) = gate.qubits
-            self._e1 ^= x[q] & z[q]
-            x[q], z[q] = z[q], x[q]
-        elif kind == "s":
-            (q,) = gate.qubits
-            m = x[q]
-            self._e1 ^= self._e0 & m
-            self._e0 ^= m
-            z[q] ^= m
-        elif kind == "sdg":
-            (q,) = gate.qubits
-            m = x[q]
-            self._e1 ^= ~self._e0 & m
-            self._e0 ^= m
-            z[q] ^= m
-        elif kind == "x":
-            (q,) = gate.qubits
-            self._e1 ^= z[q]
-        elif kind == "y":
-            (q,) = gate.qubits
-            self._e1 ^= x[q] ^ z[q]
-        elif kind == "z":
-            (q,) = gate.qubits
-            self._e1 ^= x[q]
-        elif kind == "cx":
-            c, t = gate.qubits
-            x[t] ^= x[c]
-            z[c] ^= z[t]
-        elif kind == "cz":
-            a, b = gate.qubits
-            self._e1 ^= x[a] & x[b]
-            za = z[a] ^ x[b]
-            zb = z[b] ^ x[a]
-            z[a], z[b] = za, zb
-        elif kind == "swap":
-            a, b = gate.qubits
-            x[a], x[b] = x[b], x[a]
-            z[a], z[b] = z[b], z[a]
-        else:  # pragma: no cover
-            raise ValueError(f"unknown gate kind {kind!r}")
+        self._e0, self._e1 = conjugate_columns(
+            gate, self._x, self._z, self._e0, self._e1
+        )
 
     def apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
         if circuit.n != self.n:

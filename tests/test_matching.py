@@ -2,6 +2,9 @@
 
 import hashlib
 import random
+import time
+
+import pytest
 
 from cliffopt import (
     Circuit,
@@ -148,6 +151,21 @@ def test_outputs_match_recorded_digest():
     assert digest.hexdigest() == (
         "1b620e963b7444d89b5b653fb349b9755bc2342c3dd495b4d39aba5f5a6efdd9"
     )
+
+
+def test_caller_template_must_be_identity():
+    # Taking h s for an identity would erase it, changing the tableau.
+    bad = Template("bad", (h(0), s(0)), 1)
+    with pytest.raises(ValueError, match="'bad'"):
+        match_and_apply(Circuit(1, (h(0), s(0))), (bad,))
+    with pytest.raises(ValueError, match="'bad'"):
+        match_and_apply(Circuit(1, (h(0), s(0))), _by_id("hh") + (bad,))
+
+
+def test_past_deadline_returns_input_unchanged():
+    c = Circuit(2, (cz(0, 1), cz(0, 1), h(0), h(0)))
+    assert match_and_apply(c).gates == ()
+    assert match_and_apply(c, deadline=time.monotonic() - 1.0) == c
 
 
 def test_to_cz_form():

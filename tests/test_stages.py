@@ -1,13 +1,22 @@
 """Stage partition and SWAP merging keep the tableau, signs included."""
 
+import hashlib
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffopt import Circuit, circuit_to_tableau
+from cliffopt import Circuit, PauliOperator, circuit_to_tableau
 from cliffopt.circuit import PAULI_KINDS
-from cliffopt.stages import merge_swaps, partition_stages, pauli_layer_gates
+from cliffopt.stages import (
+    StagePartition,
+    merge_swaps,
+    partition_stages,
+    pauli_layer_gates,
+)
 
-from _util import gate_pool
+from _util import gate_pool, random_circuit
 
 POOLS = {n: gate_pool(n) for n in range(1, 6)}
 
@@ -40,3 +49,35 @@ def test_merge_swaps_then_pauli_layer_keeps_tableau(c):
     assert merged.two_qubit_count <= p.to_circuit().two_qubit_count
     out = merged.extended(pauli_layer_gates(p.pauli))
     assert circuit_to_tableau(out) == circuit_to_tableau(c)
+
+
+def test_merge_outputs_match_recorded_digest():
+    # Recorded before SWAP merging became one backward scan; the merges
+    # it picks and the gates it emits must not move. The compute stages
+    # hold SWAPs, and the permutations are drawn apart from them.
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    for n in range(2, 9):
+        for _ in range(30):
+            c = random_circuit(rng, n, rng.randrange(0, 60), include_pauli=False)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            p = StagePartition(c, tuple(perm), PauliOperator.identity(n))
+            digest.update(merge_swaps(p).to_text().encode())
+    assert digest.hexdigest() == (
+        "1e27af82ed72df8635f7ec234f674a718a359e1bdeb568ee9eb1f05549021787"
+    )
+
+
+@pytest.mark.parametrize(
+    "perm, pauli_n, field",
+    [
+        ((0, 0), 2, "permutation"),
+        ((1, 2), 2, "permutation"),
+        ((0,), 2, "permutation"),
+        ((1, 0), 3, "pauli"),
+    ],
+)
+def test_malformed_partition_is_rejected(perm, pauli_n, field):
+    with pytest.raises(ValueError, match=field):
+        StagePartition(Circuit(2), perm, PauliOperator.identity(pauli_n))
