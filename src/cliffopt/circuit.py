@@ -7,6 +7,7 @@ unitaries in reverse list order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -59,15 +60,25 @@ class Gate:
             raise ValueError(
                 f"gate {self.kind!r} takes {arity} qubit(s), got {self.qubits}"
             )
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
+        qubits = []
+        for q in self.qubits:
+            # operator.index takes int and numpy integers, not 1.5 or "1".
+            try:
+                q = operator.index(q)
+            except TypeError:
+                raise ValueError(
+                    f"gate {self.kind!r}: qubit operand {q!r} is not an "
+                    "integer"
+                ) from None
+            if q < 0:
+                raise ValueError(f"negative qubit index in {self.qubits}")
+            qubits.append(q)
         if arity == 2:
-            if self.qubits[0] == self.qubits[1]:
+            if qubits[0] == qubits[1]:
                 raise ValueError(f"gate {self.kind!r} needs distinct qubits")
-            if self.kind in UNORDERED_KINDS and self.qubits[0] > self.qubits[1]:
-                object.__setattr__(
-                    self, "qubits", (self.qubits[1], self.qubits[0])
-                )
+            if self.kind in UNORDERED_KINDS and qubits[0] > qubits[1]:
+                qubits.reverse()
+        object.__setattr__(self, "qubits", tuple(qubits))
 
     def inverse(self) -> "Gate":
         return Gate(_INVERSE_KIND[self.kind], self.qubits)
@@ -124,6 +135,12 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(
+                f"circuit width n={self.n!r} is not an integer"
+            ) from None
         if self.n < 1:
             raise ValueError(f"circuit needs at least one qubit, got n={self.n}")
         if not isinstance(self.gates, tuple):

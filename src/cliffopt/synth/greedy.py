@@ -12,6 +12,7 @@ on both sides at once, which empirically lowers the CX count.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import insort
 from itertools import chain, combinations, permutations
@@ -90,6 +91,42 @@ _PAIR_PATTERNS = _build_pair_patterns()
 _TRIPLE_PATTERNS = _build_triple_patterns()
 
 
+def _by_support(patterns):
+    """A pattern table's distinct first and second supports, and each
+    pattern as (index of its first support, index of its second, cost,
+    first support, second support)."""
+    firsts = list(dict.fromkeys(ops1 for ops1, _, _ in patterns))
+    seconds = list(dict.fromkeys(ops2 for _, ops2, _ in patterns))
+    indexed = tuple(
+        (firsts.index(ops1), seconds.index(ops2), pcost, ops1, ops2)
+        for ops1, ops2, pcost in patterns
+    )
+    return tuple(firsts), tuple(seconds), indexed
+
+
+_SINGLES = _by_support(_SINGLE_PATTERNS)
+_PAIRS = _by_support(_PAIR_PATTERNS)
+_TRIPLES = _by_support(_TRIPLE_PATTERNS)
+
+
+def _images(
+    contrib: dict[tuple[int, str], tuple[int, int]],
+    qubits: tuple[int | None, ...],
+    supports: tuple[Support, ...],
+) -> list[tuple[int, int, int]]:
+    """(x bits, z bits, their union) of the image of each support placed
+    on qubits, slot s naming qubits[s]."""
+    out = []
+    for ops in supports:
+        ox = oz = 0
+        for slot, letter in ops:
+            cb = contrib[(qubits[slot], letter)]
+            ox ^= cb[0]
+            oz ^= cb[1]
+        out.append((ox, oz, ox | oz))
+    return out
+
+
 def _pauli_from_support(n: int, sup: Support) -> PauliOperator:
     xb, zb = _support_bits(sup)
     return PauliOperator(n, xb, zb, (xb & zb).bit_count() % 4)
@@ -139,6 +176,21 @@ def greedy_bidirectional(
     cheapest candidate; with one it draws uniformly from the four
     cheapest. The left reduction lands on the anchor of the images, so
     it needs no SWAP; the right one may end with a SWAP onto it.
+
+    The scan skips candidates that provably cannot be kept, so it keeps
+    exactly what a full scan would. The images (O, O') of an
+    anticommuting pair anticommute, so ``pair_cost_bits`` is at least
+    |supp O u supp O'| - 1: each C and D qubit costs 1, B costs |B| + 1
+    and A costs 3(|A| - 1)/2 >= |A| - 1. A candidate thus costs at least
+    its pattern cost plus that union minus 1. A triple candidate's
+    prefix (q0, l_s, q1, l_x) fixes O, so |supp O| bounds all 6(m - 2)
+    partners of the prefix at once, m being the number of active
+    qubits. The cut is the cost of the worst kept candidate once
+    ``keep`` are kept; before that nothing is skipped. A candidate or
+    prefix whose bound is not below the cut is skipped. That is exact:
+    the scan runs in candidate-index order and skipped candidates still
+    count in the index, so a skipped candidate could at best tie a kept
+    one at a later index, and a later tie is never kept.
     """
     n = t.n
     work = t.copy()
@@ -157,41 +209,75 @@ def greedy_bidirectional(
             contrib[(q, "Y")] = (xq[0] ^ zq[0], xq[1] ^ zq[1])
 
         best: list[tuple[int, int, Support, Support]] = []
-        idx = 0
 
-        def consider(sup1: Support, sup2: Support, pcost: int) -> None:
-            nonlocal idx
-            ox = oz = 0
-            for q_l in sup1:
-                cb = contrib[q_l]
-                ox ^= cb[0]
-                oz ^= cb[1]
-            o2x = o2z = 0
-            for q_l in sup2:
-                cb = contrib[q_l]
-                o2x ^= cb[0]
-                o2z ^= cb[1]
-            cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
-            if len(best) < keep or cost < best[-1][0]:
-                insort(best, (cost, idx, sup1, sup2))
-                if len(best) > keep:
-                    best.pop()
-            idx += 1
+        def admit(cost, idx, qubits, ops1, ops2) -> float:
+            """Keep a candidate that beats the cut; return the new cut."""
+            sup1 = tuple((qubits[s], l) for s, l in ops1)
+            sup2 = tuple((qubits[s], l) for s, l in ops2)
+            insort(best, (cost, idx, sup1, sup2))
+            if len(best) > keep:
+                best.pop()
+            return best[-1][0] if len(best) == keep else math.inf
 
         # Slot s of a pattern names qubits[s]. The qubit tuples come in
         # the scan order that fixes the candidate indices and so the ties.
-        for qubit_tuples, patterns in (
-            (permutations(ordered, 1), _SINGLE_PATTERNS),
-            (combinations(ordered, 2), _PAIR_PATTERNS),
-            (permutations(ordered, 3), _TRIPLE_PATTERNS),
+        cut = math.inf
+        idx = 0
+        for qubit_tuples, (firsts, seconds, patterns) in (
+            (permutations(ordered, 1), _SINGLES),
+            (combinations(ordered, 2), _PAIRS),
         ):
             for qubits in qubit_tuples:
-                for ops1, ops2, pcost in patterns:
-                    consider(
-                        tuple((qubits[s], l) for s, l in ops1),
-                        tuple((qubits[s], l) for s, l in ops2),
-                        pcost,
-                    )
+                img1 = _images(contrib, qubits, firsts)
+                img2 = _images(contrib, qubits, seconds)
+                for i1, i2, pcost, ops1, ops2 in patterns:
+                    ox, oz, occ = img1[i1]
+                    o2x, o2z, occ2 = img2[i2]
+                    if pcost - 1 + (occ | occ2).bit_count() < cut:
+                        cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
+                        if cost < cut:
+                            cut = admit(cost, idx, qubits, ops1, ops2)
+                    idx += 1
+
+        # Triples in permutations(ordered, 3) order, one (q0, q1) block
+        # of len(ordered) - 2 partner qubits q2 at a time. A pattern's
+        # first support (the prefix) lies on q0 and q1, its second on q0
+        # and q2, so partner images leave slot 1 unset.
+        prefixes, partners, patterns = _TRIPLES
+        block = len(patterns) * (len(ordered) - 2)
+        for q0 in ordered:
+            partner_img = {
+                q2: _images(contrib, (q0, None, q2), partners)
+                for q2 in ordered
+                if q2 != q0
+            }
+            for q1 in ordered:
+                if q1 == q0:
+                    continue
+                img1 = _images(contrib, (q0, q1), prefixes)
+                low = [occ.bit_count() - 1 for _, _, occ in img1]
+                live = [
+                    (p, *img1[i1], i2, pcost)
+                    for p, (i1, i2, pcost, _, _) in enumerate(patterns)
+                    if pcost + low[i1] < cut
+                ]
+                if not live:
+                    idx += block
+                    continue
+                for q2 in ordered:
+                    if q2 == q0 or q2 == q1:
+                        continue
+                    img2 = partner_img[q2]
+                    for p, ox, oz, occ, i2, pcost in live:
+                        o2x, o2z, occ2 = img2[i2]
+                        if pcost - 1 + (occ | occ2).bit_count() < cut:
+                            cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
+                            if cost < cut:
+                                _, _, _, ops1, ops2 = patterns[p]
+                                cut = admit(
+                                    cost, idx + p, (q0, q1, q2), ops1, ops2
+                                )
+                    idx += len(patterns)
 
         _, _, sup1, sup2 = best[0 if rng is None else rng.randrange(len(best))]
         p = _pauli_from_support(n, sup1)

@@ -13,6 +13,7 @@ when all 2n rows agree including signs.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .circuit import Circuit, Gate
@@ -23,6 +24,12 @@ class CliffordTableau:
     __slots__ = ("n", "_x", "_z", "_e0", "_e1")
 
     def __init__(self, n: int, _x=None, _z=None, _e0: int = 0, _e1: int = 0):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(
+                f"tableau width n={n!r} is not an integer"
+            ) from None
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
         self.n = n

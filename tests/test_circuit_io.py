@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from cliffopt import Circuit, Gate, cx, cz, h, s, sdg, swap, x, y, z
+from cliffopt import (
+    Circuit,
+    CliffordTableau,
+    Gate,
+    circuit_to_tableau,
+    cx,
+    cz,
+    h,
+    s,
+    sdg,
+    swap,
+    x,
+    y,
+    z,
+)
 
 from _dense import circuit_unitary
 
@@ -24,6 +38,23 @@ def test_gate_validation():
         Gate("cx", (1, 1))
     with pytest.raises(ValueError):
         Gate("h", (-1,))
+
+
+def test_non_integer_operands_are_rejected():
+    with pytest.raises(ValueError, match="'h'.*1.5"):
+        circuit_to_tableau(Circuit(2, (h(1.5),)))
+    with pytest.raises(ValueError, match="'cx'.*'1'"):
+        Gate("cx", (0, "1"))
+    with pytest.raises(ValueError, match="2.5"):
+        Circuit(2.5)
+    with pytest.raises(ValueError, match="2.0"):
+        CliffordTableau(2.0)
+    # numpy integers are integers; they are stored as int.
+    g = Gate("cz", (np.int64(3), np.int64(1)))
+    assert g == cz(1, 3) and type(g.qubits[0]) is int
+    c = Circuit(np.int64(2), (Gate("cx", (np.int64(1), 0)),))
+    assert c == Circuit(2, (cx(1, 0),)) and type(c.n) is int
+    assert CliffordTableau(np.int64(2)) == CliffordTableau(2)
 
 
 def test_unordered_kinds_sort_operands():

@@ -13,6 +13,8 @@ from cliffopt import (
     disentangler,
     standard_form,
 )
+from cliffopt.synth.disentangle import pair_cost_bits
+from cliffopt.synth.greedy import _TRIPLE_PATTERNS
 
 from _dense import circuit_unitary, conjugate_dense, pauli_matrix
 
@@ -131,6 +133,23 @@ def test_cost_formula_examples():
     o = PauliOperator.from_label("XYI")
     o2 = PauliOperator.from_label("ZIZ")
     assert disentangle_cost(o, o2) == 2
+
+
+def test_cost_is_at_least_support_minus_one():
+    # The bidirectional scan skips candidates on this bound; it holds for
+    # anticommuting pairs only, and every triple pattern costs 2.
+    rng = random.Random(53)
+    tight = 0
+    for _ in range(2000):
+        n = rng.randrange(1, 13)
+        o, o2 = random_anticommuting_pair(rng, n)
+        bits = (o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
+        union = (bits[0] | bits[1] | bits[2] | bits[3]).bit_count()
+        cost = pair_cost_bits(*bits)
+        assert cost >= union - 1
+        tight += cost == union - 1
+    assert tight > 0
+    assert {pcost for _, _, pcost in _TRIPLE_PATTERNS} == {2}
 
 
 def test_deferred_swap_is_leading_gate():

@@ -122,3 +122,21 @@ def test_outputs_match_recorded_digest():
     assert digest.hexdigest() == (
         "639963d76e92853f6f3cb8bb41038148a96051ebad4b9a68840910be564cfc4f"
     )
+
+
+def test_wide_outputs_match_recorded_digest():
+    # Recorded before the bidirectional scan learned to skip candidates
+    # that cannot be kept. At these widths the rng pool fills and whole
+    # prefix blocks are skipped, which n <= 8 rarely shows.
+    digest = hashlib.sha256()
+    for n in (10, 12, 14):
+        for seed in (1, 2):
+            t = random_clifford(n, seed)
+            for c in (
+                greedy_bidirectional(t),
+                greedy_bidirectional(t, rng=random.Random(seed)),
+            ):
+                digest.update(c.to_text().encode())
+    assert digest.hexdigest() == (
+        "5156bf108b134014fa5bc736e5f33f4e19b52b999ea6b2743f9b28c351286894"
+    )
