@@ -20,24 +20,51 @@ global phase. A matched gate moves left past the gates stepped over on
 a wire only if they all have its class there. A SWAP moves past no
 gate, and no gate moves past a pending SWAP.
 
-Three prunes skip work that cannot yield a rewrite, so the rewrites and
-their order are those of a full scan:
+A rotation is matched greedily: its next gate binds to the first later
+gate in the window that has its kind, fits the wire binding so far and
+can move left past the gates stepped over since. What the search for
+gate p finds depends only on the state after gates 0..p-1 (last matched
+position, binding, pending masks of the stepped-over gates) and on gate
+p itself. Rotations that share their first p+1 gates therefore make the
+same search, and it is made once: the rotations of each first-gate kind
+form a trie keyed by gate, walked depth first from the position, each
+node scanning on from its parent's state. Where a node's search fails,
+every rotation below it ends with its parent's match. A rotation thus
+ends in the state its own scan would reach, so the scores and the
+rewrite applied are those of matching each rotation alone.
 
-- a match stops once its next template gate can no longer be matched
-  (see ``_match``);
-- a rotation is skipped when some gate of its shortest licensing
-  prefix has a kind the circuit has never held; that set of kinds only
-  grows, so it over-approximates the kinds present;
+Whether a match of p gates licenses a rewrite (at least half the word,
+every wire of the remainder bound) and what it scores depend only on
+the rotation and p, so each node holds, ahead of time, the best score
+of a match ending there and the best score in its subtree. Four prunes
+skip work that cannot change the rewrite applied:
+
+- a search stops once its gate can no longer be matched: on each wire
+  already bound, a gate of the right kind and orientation may pass only
+  one pending mask, and masks only grow;
+- a subtree is not walked when its best score cannot beat the best
+  match found so far;
+- a rotation is left out of the trie when some gate of its shortest
+  licensing prefix has a kind the circuit has never held; that set of
+  kinds only grows, so it over-approximates the kinds present;
 - a sweep skips a position that found no rewrite and whose window, the
-  only gates ``_match`` reads, has not changed since.
+  only gates a match reads, has not changed since.
 """
 
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, Gate, TWO_QUBIT_WEIGHT, cx, h
+from .circuit import (
+    Circuit,
+    Gate,
+    TWO_QUBIT_WEIGHT,
+    UNORDERED_KINDS,
+    cx,
+    h,
+)
 from .templates import Template, builtin_templates, template_is_identity
 
 _WINDOW = 64
@@ -48,26 +75,20 @@ _DIAG_Z = 1
 _DIAG_X = 2
 _HY = 4
 _BLOCK = 8
+_ALL = _DIAG_Z | _DIAG_X | _HY | _BLOCK
 
-
-def _wire_class(gate: Gate, wire: int) -> int:
-    kind = gate.kind
-    if kind in ("s", "sdg", "z", "cz"):
-        return _DIAG_Z
-    if kind == "cx":
-        return _DIAG_Z if wire == gate.qubits[0] else _DIAG_X
-    if kind == "x":
-        return _DIAG_X
-    if kind in ("h", "y"):
-        return _HY
-    return _BLOCK
-
-
-def _passable(gate: Gate, wire: int) -> int:
-    """The nonzero pending mask the gate may move left past on the wire:
-    its own class, or none for a SWAP."""
-    cls = _wire_class(gate, wire)
-    return 0 if cls == _BLOCK else cls
+# The class of each gate kind on each of its operands, in operand order.
+_CLASSES: dict[str, tuple[int, ...]] = {
+    "s": (_DIAG_Z,),
+    "sdg": (_DIAG_Z,),
+    "z": (_DIAG_Z,),
+    "x": (_DIAG_X,),
+    "h": (_HY,),
+    "y": (_HY,),
+    "cz": (_DIAG_Z, _DIAG_Z),
+    "cx": (_DIAG_Z, _DIAG_X),
+    "swap": (_BLOCK, _BLOCK),
+}
 
 
 def _rotations(
@@ -93,103 +114,191 @@ def _rotations(
     return by_kind
 
 
-def _bind_gate(
-    t_gate: Gate, c_gate: Gate, binding: dict[int, int]
-) -> dict[int, int] | None:
-    """Extend the wire binding so t_gate maps onto c_gate, or give up."""
-    if t_gate.kind != c_gate.kind:
-        return None
-    orientations = [c_gate.qubits]
-    if len(c_gate.qubits) == 2 and c_gate.kind != "cx":
-        orientations.append((c_gate.qubits[1], c_gate.qubits[0]))
-    for conc in orientations:
-        trial = dict(binding)
-        ok = True
-        for abs_w, conc_q in zip(t_gate.qubits, conc):
-            bound = trial.get(abs_w)
-            if bound is None:
-                if conc_q in trial.values():
-                    ok = False
-                    break
-                trial[abs_w] = conc_q
-            elif bound != conc_q:
-                ok = False
-                break
-        if ok:
-            return trial
-    return None
-
-
-def _movable(gate: Gate, pending_mask: dict[int, int]) -> bool:
-    return all(
-        pending_mask.get(w, 0) in (0, _passable(gate, w)) for w in gate.qubits
-    )
-
-
-def _watched(t_gate: Gate, binding: dict[int, int]) -> dict[int, int]:
-    """The concrete qubits of t_gate's bound wires, each with the mask a
-    gate matching t_gate may pass there."""
-    return {
-        binding[w]: _passable(t_gate, w) for w in t_gate.qubits if w in binding
-    }
-
-
-def _match(
-    gates: list[Gate], i: int, rot: tuple[Gate, ...]
-) -> tuple[list[int], dict[int, int]] | None:
-    """Match the longest prefix of rot that starts at gates[i].
-
-    Returns the matched positions and the wire binding when the prefix
-    licenses a rewrite: it covers at least half the word and binds every
-    wire of the remainder. Shorter prefixes need not be tried: each has a
-    smaller binding, a longer remainder and a worse score (``_delta``).
-
-    The scan stops as soon as the next template gate can no longer be
-    matched. A gate matching it has its kind and orientation, so on each
-    already-bound wire it may pass only one pending mask (``_watched``).
-    Pending masks only grow, so once a watched wire's mask is another
-    value no later gate can match, and stopping returns what the full
-    scan of the window would.
-    """
-    binding = _bind_gate(rot[0], gates[i], {})
-    if binding is None:
-        return None
-    m = len(rot)
-    matched_pos = [i]
-    pending_mask: dict[int, int] = {}
-    watched = _watched(rot[1], binding) if m > 1 else {}
-    end = min(len(gates), i + _WINDOW)
-    for j in range(i + 1, end):
-        p = len(matched_pos)
-        if p == m:
-            break
-        g = gates[j]
-        trial = _bind_gate(rot[p], g, binding)
-        if trial is not None and _movable(g, pending_mask):
-            matched_pos.append(j)
-            binding = trial
-            if p + 1 < m:
-                watched = _watched(rot[p + 1], binding)
-            continue
-        dead = False
-        for w in g.qubits:
-            mask = pending_mask.get(w, 0) | _wire_class(g, w)
-            pending_mask[w] = mask
-            if w in watched and mask != watched[w]:
-                dead = True
-        if dead:
-            break
-    p = len(matched_pos)
-    if 2 * p < m or any(w not in binding for g in rot[p:] for w in g.qubits):
-        return None
-    return matched_pos, binding
-
-
 def _delta(rot: tuple[Gate, ...], p: int) -> tuple[int, int]:
     """Change in (two-qubit weight, gate count) when the first p gates of
     rot are replaced by the inverted remainder."""
     weights = [TWO_QUBIT_WEIGHT.get(g.kind, 0) for g in rot]
     return sum(weights[p:]) - sum(weights[:p]), len(rot) - 2 * p
+
+
+# A scored match: (delta, -p, rotation index, rotation). The index is
+# unique within a first-gate kind, so comparisons never reach the rotation.
+_Score = tuple[tuple[int, int], int, int, tuple[Gate, ...]]
+
+
+class _Node:
+    """The last gate of a rotation prefix in the trie.
+
+    ``full`` scores the rotation that ends here, matched whole; ``stop``
+    the best match of the rotations below that end just before this
+    gate, because its search failed; ``best`` the best of either
+    anywhere in the subtree. Each is None when no match there licenses
+    an improving rewrite.
+    """
+
+    __slots__ = ("gate", "blocks", "children", "full", "stop", "best")
+
+    def __init__(self, gate: Gate) -> None:
+        self.gate = gate
+        # The pending bits on each operand that a gate matching this one
+        # cannot move left past: all but its own class, all for a SWAP.
+        self.blocks = tuple(
+            _ALL if c == _BLOCK else _ALL & ~c for c in _CLASSES[gate.kind]
+        )
+        self.children: dict[Gate, _Node] = {}
+        self.full: _Score | None = None
+        self.stop: _Score | None = None
+        self.best: _Score | None = None
+
+
+def _lower(a: _Score | None, b: _Score | None) -> _Score | None:
+    return a if b is None or (a is not None and a < b) else b
+
+
+@lru_cache(maxsize=64)
+def _trie(
+    templates: tuple[Template, ...], present: frozenset[str]
+) -> dict[str, dict[Gate, _Node]]:
+    """The trie roots of each first-gate kind, over the templates'
+    rotations whose licensing prefix has only kinds in ``present``. The
+    nodes are never changed once built, so calls share them."""
+    roots: dict[str, dict[Gate, _Node]] = {}
+    for kind, rotations in _rotations(templates).items():
+        tops: dict[Gate, _Node] = {}
+        for index, (rot, needs) in enumerate(rotations):
+            if not needs <= present:
+                continue
+            path = [tops.setdefault(rot[0], _Node(rot[0]))]
+            for g in rot[1:]:
+                path.append(path[-1].children.setdefault(g, _Node(g)))
+            m = len(rot)
+            bound: set[int] = set()
+            for p in range(1, m + 1):
+                bound.update(rot[p - 1].qubits)
+                delta = _delta(rot, p)
+                if (
+                    2 * p < m
+                    or delta >= (0, 0)
+                    or any(w not in bound for g in rot[p:] for w in g.qubits)
+                ):
+                    continue
+                score = (delta, -p, index, rot)
+                if p == m:
+                    path[-1].full = score
+                else:
+                    path[p].stop = _lower(score, path[p].stop)
+                for node in path[:p + 1]:
+                    node.best = _lower(score, node.best)
+        if tops:
+            roots[kind] = tops
+    return roots
+
+
+def _bind(
+    wires: tuple[int, ...], qubits: tuple[int, ...], binding: dict[int, int]
+) -> dict[int, int] | None:
+    """Extend the injective wire binding so wires map onto qubits, or
+    give up. The binding is copied only if it grows."""
+    trial = binding
+    for w, q in zip(wires, qubits):
+        bound = trial.get(w)
+        if bound is None:
+            if q in trial.values():
+                return None
+            if trial is binding:
+                trial = dict(binding)
+            trial[w] = q
+        elif bound != q:
+            return None
+    return trial
+
+
+_Match = tuple[_Score, tuple[int, ...], dict[int, int]]
+
+
+def _best_match(
+    tops: dict[Gate, _Node],
+    kinds: list[str],
+    qubits: list[tuple[int, ...]],
+    operands: list[tuple[tuple[int, int], ...]],
+    n: int,
+    i: int,
+) -> _Match | None:
+    """The best-scoring licensed match of the trie's rotations at
+    position i, with its matched positions and wire binding."""
+    end = min(len(kinds), i + _WINDOW)
+
+    def search(node, last, binding, pending):
+        """The first position after last that matches node's gate, with
+        the binding and pending masks there, or None."""
+        t_kind = node.gate.kind
+        wires = node.gate.qubits
+        blocks = node.blocks
+        # forbid[q]: the pending bits on a bound qubit q that keep any
+        # gate from matching node's gate. Masks only grow, so once one
+        # is pending the search is over.
+        forbid = [0] * n
+        bound = []
+        for w, block in zip(wires, blocks):
+            q = binding.get(w)
+            if q is not None:
+                if pending[q] & block:
+                    return None
+                forbid[q] = block
+                bound.append(q)
+        # With every wire bound, a match is a gate on exactly these
+        # operands; UNORDERED_KINDS keep theirs sorted.
+        want = None
+        if len(bound) == len(wires):
+            want = tuple(sorted(bound) if t_kind in UNORDERED_KINDS else bound)
+        pending = pending[:]
+        for j in range(last + 1, end):
+            if kinds[j] == t_kind:
+                qs = qubits[j]
+                if want is not None:
+                    if qs == want:
+                        return j, binding, pending
+                elif not bound or bound[0] in qs:
+                    trial = _bind(wires, qs, binding)
+                    if trial is None and t_kind in UNORDERED_KINDS:
+                        trial = _bind(wires, qs[::-1], binding)
+                    if trial is not None and not any(
+                        pending[q] & block for q, block in zip(qs, blocks)
+                    ):
+                        return j, trial, pending
+            dead = False
+            for q, c in operands[j]:
+                mask = pending[q] | c
+                pending[q] = mask
+                if mask & forbid[q]:
+                    dead = True
+            if dead:
+                return None
+        return None
+
+    def walk(node, matched, binding, pending, best):
+        """The better of best and the best match below node, reached at
+        the positions matched with this binding and pending masks."""
+        if node.full is not None and (best is None or node.full < best[0]):
+            best = node.full, matched, binding
+        for child in node.children.values():
+            if child.best is None or (best is not None and best[0] < child.best):
+                continue
+            found = search(child, matched[-1], binding, pending)
+            if found is not None:
+                j, trial, after = found
+                best = walk(child, matched + (j,), trial, after, best)
+            elif child.stop is not None and (best is None or child.stop < best[0]):
+                best = child.stop, matched, binding
+        return best
+
+    best = None
+    for top in tops.values():
+        if top.best is None or (best is not None and best[0] < top.best):
+            continue
+        binding = dict(zip(top.gate.qubits, qubits[i]))
+        best = walk(top, (i,), binding, [0] * n, best)
+    return best
 
 
 def match_and_apply(
@@ -221,16 +330,21 @@ def match_and_apply(
     if templates is None:
         templates = builtin_templates()
     else:
+        templates = tuple(templates)
         for template in templates:
             if not template_is_identity(template):
                 raise ValueError(
                     f"template {template.id!r} is not an identity word"
                 )
-    by_kind = _rotations(templates)
     gates = list(c.gates)
+    # Each gate's kind, operands and per-operand classes, kept beside it.
+    kinds = [g.kind for g in gates]
+    qubits = [g.qubits for g in gates]
+    operands = [tuple(zip(g.qubits, _CLASSES[g.kind])) for g in gates]
     # Every kind the circuit has held; it only over-approximates the
     # kinds present, so a rotation it rules out cannot match.
-    present = {g.kind for g in gates}
+    present = frozenset(kinds)
+    roots = _trie(templates, present)
     # dirty[i]: gates[i:i + _WINDOW] changed since position i last found
     # no rewrite.
     dirty = [True] * len(gates)
@@ -242,33 +356,33 @@ def match_and_apply(
                 continue
             if deadline is not None and time.monotonic() > deadline:
                 return Circuit(c.n, tuple(gates))
-            candidates = []
-            for index, (rot, needs) in enumerate(by_kind.get(gates[i].kind, ())):
-                if not needs <= present:
-                    continue
-                found = _match(gates, i, rot)
-                if found is None:
-                    continue
-                p = len(found[0])
-                delta = _delta(rot, p)
-                if delta < (0, 0):
-                    candidates.append((delta, -p, index, rot, found))
-            if not candidates:
+            tops = roots.get(kinds[i])
+            found = None if tops is None else _best_match(
+                tops, kinds, qubits, operands, c.n, i
+            )
+            if found is None:
                 dirty[i] = False
                 i += 1
                 continue
-            # The index is unique, so min never compares rot or found.
-            *_, rot, (matched_pos, binding) = min(candidates)
+            (_, _, _, rot), matched_pos, binding = found
             p = len(matched_pos)
             replacement = [
                 g.inverse().relabeled(binding) for g in reversed(rot[p:])
             ]
-            present.update(g.kind for g in replacement)
+            if not present.issuperset(g.kind for g in replacement):
+                present = present.union(g.kind for g in replacement)
+                roots = _trie(templates, present)
             matched = set(matched_pos)
             last = matched_pos[-1]
-            kept = [gates[j] for j in range(i, last + 1) if j not in matched]
-            gates[i:last + 1] = replacement + kept
-            dirty[i:last + 1] = [True] * (len(replacement) + len(kept))
+            kept = [j for j in range(i, last + 1) if j not in matched]
+            new = replacement + [gates[j] for j in kept]
+            gates[i:last + 1] = new
+            kinds[i:last + 1] = [g.kind for g in new]
+            qubits[i:last + 1] = [g.qubits for g in new]
+            operands[i:last + 1] = [
+                tuple(zip(g.qubits, _CLASSES[g.kind])) for g in new
+            ]
+            dirty[i:last + 1] = [True] * len(new)
             dirty[max(0, i - _WINDOW + 1):i] = [True] * min(i, _WINDOW - 1)
     return Circuit(c.n, tuple(gates))
 
@@ -332,7 +446,7 @@ def _commute_right(first: Gate, second: Gate) -> tuple[Gate, Gate] | None:
     w = first.qubits[0]
     if w not in second.qubits:
         return second, first
-    if first.kind in ("s", "sdg", "z") and _wire_class(second, w) == _DIAG_Z:
+    if first.kind in ("s", "sdg", "z") and _CLASSES[second.kind][second.qubits.index(w)] == _DIAG_Z:
         return second, first
     if first.kind == "h" and second.kind == "cz":
         other = second.qubits[0] if second.qubits[1] == w else second.qubits[1]

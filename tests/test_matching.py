@@ -31,7 +31,7 @@ from cliffopt.templates import (
     template_is_identity,
 )
 
-from _util import random_circuit
+from _util import gate_pool, random_circuit
 
 
 def _by_id(tid: str):
@@ -150,6 +150,21 @@ def test_outputs_match_recorded_digest():
         digest.update(match_and_apply(c).to_text().encode())
     assert digest.hexdigest() == (
         "1b620e963b7444d89b5b653fb349b9755bc2342c3dd495b4d39aba5f5a6efdd9"
+    )
+
+
+def test_cz_form_outputs_match_recorded_digest():
+    # CZ-form circuits with SWAPs: most rotations start with a CZ or a
+    # SWAP, so most scans share a prefix with another rotation's.
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        n = rng.randrange(5, 9)
+        pool = [g for g in gate_pool(n) if g.kind != "cx"]
+        gates = tuple(rng.choice(pool) for _ in range(rng.randrange(200, 401)))
+        digest.update(match_and_apply(Circuit(n, gates)).to_text().encode())
+    assert digest.hexdigest() == (
+        "6be1c7530d97f7d9ba504ca2dc9563d12cd1193ab1b0bc1cac3ae6767bb5500c"
     )
 
 
