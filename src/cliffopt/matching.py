@@ -96,7 +96,13 @@ def _rotations(
 ) -> dict[str, list[tuple[tuple[Gate, ...], frozenset[str]]]]:
     """All distinct rotations of the templates and their inverses,
     indexed by the kind of their first gate. Each comes with the kinds a
-    licensed prefix must also contain: those of gates 1 to ceil(m/2) - 1."""
+    licensed prefix must also contain: those of gates 1 to ceil(m/2) - 1.
+
+    A CZ or SWAP whose two wires no earlier gate of the rotation touches
+    matches a circuit gate in either orientation, but a match binds them
+    in operand order. So each rotation is followed by its variants with
+    the wires of such gates exchanged, which are identity words too.
+    """
     by_kind: dict[str, list[tuple[tuple[Gate, ...], frozenset[str]]]] = {}
     seen: set[tuple[Gate, ...]] = set()
     for template in templates:
@@ -105,12 +111,24 @@ def _rotations(
         for word in words:
             m = len(word)
             for k in range(m):
-                rot = word[k:] + word[:k]
-                if rot in seen:
-                    continue
-                seen.add(rot)
-                needs = frozenset(g.kind for g in rot[1:(m + 1) // 2])
-                by_kind.setdefault(rot[0].kind, []).append((rot, needs))
+                variants = [word[k:] + word[:k]]
+                touched: set[int] = set()
+                for g in variants[0]:
+                    if g.kind in UNORDERED_KINDS and touched.isdisjoint(g.qubits):
+                        exchange = list(range(template.size))
+                        a, b = g.qubits
+                        exchange[a], exchange[b] = b, a
+                        variants += [
+                            tuple(v.relabeled(exchange) for v in rot)
+                            for rot in variants
+                        ]
+                    touched.update(g.qubits)
+                for rot in variants:
+                    if rot in seen:
+                        continue
+                    seen.add(rot)
+                    needs = frozenset(g.kind for g in rot[1:(m + 1) // 2])
+                    by_kind.setdefault(rot[0].kind, []).append((rot, needs))
     return by_kind
 
 
