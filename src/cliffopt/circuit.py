@@ -146,6 +146,8 @@ class Circuit:
         if not isinstance(self.gates, tuple):
             object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
+            if not isinstance(g, Gate):
+                raise ValueError(f"circuit element {g!r} is not a Gate")
             if max(g.qubits) >= self.n:
                 raise ValueError(
                     f"gate {g} out of range for {self.n} qubit(s)"

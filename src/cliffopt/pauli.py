@@ -8,6 +8,7 @@ in this normal form, since Y = i X Z.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate
@@ -31,6 +32,20 @@ class PauliOperator:
     phase_exp: int = 0
 
     def __post_init__(self) -> None:
+        # Plain ints, the common case, skip the conversion. operator.index
+        # takes int and numpy integers, not 1.5 or "1".
+        if not (
+            type(self.n) is type(self.x_bits) is type(self.z_bits)
+            is type(self.phase_exp) is int
+        ):
+            for name in ("n", "x_bits", "z_bits", "phase_exp"):
+                value = getattr(self, name)
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValueError(
+                        f"Pauli operand {name}={value!r} is not an integer"
+                    ) from None
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
         limit = 1 << self.n

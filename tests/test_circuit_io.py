@@ -7,6 +7,7 @@ from cliffopt import (
     Circuit,
     CliffordTableau,
     Gate,
+    PauliOperator,
     circuit_to_tableau,
     cx,
     cz,
@@ -49,12 +50,24 @@ def test_non_integer_operands_are_rejected():
         Circuit(2.5)
     with pytest.raises(ValueError, match="2.0"):
         CliffordTableau(2.0)
+    with pytest.raises(ValueError, match="'h 0'"):
+        Circuit(2, ("h 0",))
+    with pytest.raises(ValueError, match="x_bits=1.5"):
+        PauliOperator(2, 1.5, 0, 0)
+    with pytest.raises(ValueError, match="n=2.5"):
+        PauliOperator(2.5, 1, 0, 0)
+    with pytest.raises(ValueError, match="phase_exp=1.5"):
+        PauliOperator(2, 1, 0, 1.5)
+    with pytest.raises(ValueError, match="z_bits='1'"):
+        PauliOperator(2, 1, "1", 0)
     # numpy integers are integers; they are stored as int.
     g = Gate("cz", (np.int64(3), np.int64(1)))
     assert g == cz(1, 3) and type(g.qubits[0]) is int
     c = Circuit(np.int64(2), (Gate("cx", (np.int64(1), 0)),))
     assert c == Circuit(2, (cx(1, 0),)) and type(c.n) is int
     assert CliffordTableau(np.int64(2)) == CliffordTableau(2)
+    p = PauliOperator(np.int64(2), np.int64(1), 0, np.int64(5))
+    assert p == PauliOperator(2, 1, 0, 1) and type(p.x_bits) is int
 
 
 def test_unordered_kinds_sort_operands():
