@@ -20,51 +20,34 @@ global phase. A matched gate moves left past the gates stepped over on
 a wire only if they all have its class there. A SWAP moves past no
 gate, and no gate moves past a pending SWAP.
 
-A rotation is matched greedily: its next gate binds to the first later
-gate in the window that has its kind, fits the wire binding so far and
-can move left past the gates stepped over since. What the search for
-gate p finds depends only on the state after gates 0..p-1 (last matched
-position, binding, pending masks of the stepped-over gates) and on gate
-p itself. Rotations that share their first p+1 gates therefore make the
-same search, and it is made once: the rotations of each first-gate kind
-form a trie keyed by gate, walked depth first from the position, each
-node scanning on from its parent's state. Where a node's search fails,
-every rotation below it ends with its parent's match. A rotation thus
-ends in the state its own scan would reach, so the scores and the
-rewrite applied are those of matching each rotation alone.
+A rotation is matched greedily: gate p binds to the first later gate in
+the window that has its kind, fits the wire binding and can move left
+past the gates stepped over. That search depends only on gate p and on
+the state after gates 0..p-1 (last matched position, binding, pending
+masks), so rotations sharing their first p+1 gates make it once: they
+form a trie keyed by gate, each node searching on from its parent's
+state. Where a search fails, every rotation below ends with the
+parent's match, as its own scan would, so the rewrites are unchanged.
+Whether a match licenses a rewrite (at least half the word, every wire
+of the remainder bound) and its score depend only on the rotation and
+the match length, so the trie holds them ahead of time.
 
-Whether a match of p gates licenses a rewrite (at least half the word,
-every wire of the remainder bound) and what it scores depend only on
-the rotation and p, so each node holds, ahead of time, the best score
-of a match ending there and the best score in its subtree. Four prunes
-skip work that cannot change the rewrite applied:
-
-- a search stops once its gate can no longer be matched: on each wire
-  already bound, a gate of the right kind and orientation may pass only
-  one pending mask, and masks only grow;
-- a subtree is not walked when its best score cannot beat the best
-  match found so far;
-- a rotation is left out of the trie when some gate of its shortest
-  licensing prefix has a kind the circuit has never held; that set of
-  kinds only grows, so it over-approximates the kinds present;
-- a sweep skips a position that found no rewrite and whose window, the
-  only gates a match reads, has not changed since.
+Prunes skip only work that cannot change the rewrite applied: a search
+stops once no later gate can match (on a bound wire a match may pass
+only its own class, and pending masks only grow); a subtree whose best
+score cannot beat the best match found is not walked; a rotation is
+left out while a gate of its shortest licensing prefix has a kind the
+circuit never held (that set only grows); and a sweep skips a position
+that found no rewrite and whose window has not changed since.
 """
 
 from __future__ import annotations
 
 import time
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .circuit import (
-    Circuit,
-    Gate,
-    TWO_QUBIT_WEIGHT,
-    UNORDERED_KINDS,
-    cx,
-    h,
-)
+from .circuit import Circuit, Gate, TWO_QUBIT_WEIGHT, UNORDERED_KINDS
 from .templates import Template, builtin_templates, template_is_identity
 
 _WINDOW = 64
@@ -79,38 +62,32 @@ _ALL = _DIAG_Z | _DIAG_X | _HY | _BLOCK
 
 # The class of each gate kind on each of its operands, in operand order.
 _CLASSES: dict[str, tuple[int, ...]] = {
-    "s": (_DIAG_Z,),
-    "sdg": (_DIAG_Z,),
-    "z": (_DIAG_Z,),
-    "x": (_DIAG_X,),
-    "h": (_HY,),
-    "y": (_HY,),
-    "cz": (_DIAG_Z, _DIAG_Z),
-    "cx": (_DIAG_Z, _DIAG_X),
-    "swap": (_BLOCK, _BLOCK),
+    "s": (_DIAG_Z,), "sdg": (_DIAG_Z,), "z": (_DIAG_Z,), "x": (_DIAG_X,),
+    "h": (_HY,), "y": (_HY,), "cz": (_DIAG_Z, _DIAG_Z),
+    "cx": (_DIAG_Z, _DIAG_X), "swap": (_BLOCK, _BLOCK),
 }
 
+# A scored match: (delta, -p, rotation index, rotation). Indices are
+# unique, so comparisons never reach the rotation. Every improving delta
+# is below (0, 0), so _NO_SCORE is above every score.
+_Score = tuple[tuple[int, int], int, int, tuple[Gate, ...]]
+_NO_SCORE: _Score = ((0, 0), 0, 0, ())
 
-def _rotations(
-    templates: Iterable[Template],
-) -> dict[str, list[tuple[tuple[Gate, ...], frozenset[str]]]]:
-    """All distinct rotations of the templates and their inverses,
-    indexed by the kind of their first gate. Each comes with the kinds a
-    licensed prefix must also contain: those of gates 1 to ceil(m/2) - 1.
+
+def _rotations(templates: Iterable[Template]) -> Iterator[tuple[Gate, ...]]:
+    """The distinct rotations of the templates and their inverses, in
+    index order.
 
     A CZ or SWAP whose two wires no earlier gate of the rotation touches
     matches a circuit gate in either orientation, but a match binds them
     in operand order. So each rotation is followed by its variants with
     the wires of such gates exchanged, which are identity words too.
     """
-    by_kind: dict[str, list[tuple[tuple[Gate, ...], frozenset[str]]]] = {}
     seen: set[tuple[Gate, ...]] = set()
     for template in templates:
-        words = [template.gates]
-        words.append(tuple(g.inverse() for g in reversed(template.gates)))
-        for word in words:
-            m = len(word)
-            for k in range(m):
+        inverse = tuple(g.inverse() for g in reversed(template.gates))
+        for word in (template.gates, inverse):
+            for k in range(len(word)):
                 variants = [word[k:] + word[:k]]
                 touched: set[int] = set()
                 for g in variants[0]:
@@ -124,137 +101,86 @@ def _rotations(
                         ]
                     touched.update(g.qubits)
                 for rot in variants:
-                    if rot in seen:
-                        continue
-                    seen.add(rot)
-                    needs = frozenset(g.kind for g in rot[1:(m + 1) // 2])
-                    by_kind.setdefault(rot[0].kind, []).append((rot, needs))
-    return by_kind
-
-
-def _delta(rot: tuple[Gate, ...], p: int) -> tuple[int, int]:
-    """Change in (two-qubit weight, gate count) when the first p gates of
-    rot are replaced by the inverted remainder."""
-    weights = [TWO_QUBIT_WEIGHT.get(g.kind, 0) for g in rot]
-    return sum(weights[p:]) - sum(weights[:p]), len(rot) - 2 * p
-
-
-# A scored match: (delta, -p, rotation index, rotation). The index is
-# unique within a first-gate kind, so comparisons never reach the rotation.
-_Score = tuple[tuple[int, int], int, int, tuple[Gate, ...]]
+                    if rot not in seen:
+                        seen.add(rot)
+                        yield rot
 
 
 class _Node:
-    """The last gate of a rotation prefix in the trie.
+    """A trie node: the last gate of a rotation prefix (None at a root).
 
     ``full`` scores the rotation that ends here, matched whole; ``stop``
-    the best match of the rotations below that end just before this
-    gate, because its search failed; ``best`` the best of either
-    anywhere in the subtree. Each is None when no match there licenses
-    an improving rewrite.
+    the best of those below whose match ends before this gate, as its
+    search failed; ``best`` the best of either in the subtree. Each is
+    _NO_SCORE when no such match licenses an improvement.
     """
 
     __slots__ = ("gate", "blocks", "children", "full", "stop", "best")
 
-    def __init__(self, gate: Gate) -> None:
+    def __init__(self, gate: Gate | None) -> None:
         self.gate = gate
         # The pending bits on each operand that a gate matching this one
-        # cannot move left past: all but its own class, all for a SWAP.
-        self.blocks = tuple(
-            _ALL if c == _BLOCK else _ALL & ~c for c in _CLASSES[gate.kind]
-        )
+        # cannot move left past: all but its own class, and always a SWAP.
+        classes = _CLASSES[gate.kind] if gate else ()
+        self.blocks = tuple(_ALL & ~c | _BLOCK for c in classes)
         self.children: dict[Gate, _Node] = {}
-        self.full: _Score | None = None
-        self.stop: _Score | None = None
-        self.best: _Score | None = None
-
-
-def _lower(a: _Score | None, b: _Score | None) -> _Score | None:
-    return a if b is None or (a is not None and a < b) else b
+        self.full = self.stop = self.best = _NO_SCORE
 
 
 @lru_cache(maxsize=64)
 def _trie(
     templates: tuple[Template, ...], present: frozenset[str]
-) -> dict[str, dict[Gate, _Node]]:
-    """The trie roots of each first-gate kind, over the templates'
-    rotations whose licensing prefix has only kinds in ``present``. The
-    nodes are never changed once built, so calls share them."""
-    roots: dict[str, dict[Gate, _Node]] = {}
-    for kind, rotations in _rotations(templates).items():
-        tops: dict[Gate, _Node] = {}
-        for index, (rot, needs) in enumerate(rotations):
-            if not needs <= present:
+) -> dict[str, _Node]:
+    """The trie root of each first-gate kind. A rotation of m gates is
+    left out when a kind among its gates 1 to ceil(m/2) - 1 is not in
+    ``present``. Nodes never change once built, so calls share them."""
+    roots: dict[str, _Node] = {}
+    for index, rot in enumerate(_rotations(templates)):
+        m = len(rot)
+        if not present.issuperset(g.kind for g in rot[1:(m + 1) // 2]):
+            continue
+        path = [roots.setdefault(rot[0].kind, _Node(None))]
+        for g in rot:
+            path.append(path[-1].children.setdefault(g, _Node(g)))
+        weights = [TWO_QUBIT_WEIGHT.get(g.kind, 0) for g in rot]
+        bound: set[int] = set()
+        for p in range(1, m + 1):
+            bound.update(rot[p - 1].qubits)
+            delta = (sum(weights[p:]) - sum(weights[:p]), m - 2 * p)
+            if 2 * p < m or delta >= (0, 0) or not bound.issuperset(
+                w for g in rot[p:] for w in g.qubits
+            ):
                 continue
-            path = [tops.setdefault(rot[0], _Node(rot[0]))]
-            for g in rot[1:]:
-                path.append(path[-1].children.setdefault(g, _Node(g)))
-            m = len(rot)
-            bound: set[int] = set()
-            for p in range(1, m + 1):
-                bound.update(rot[p - 1].qubits)
-                delta = _delta(rot, p)
-                if (
-                    2 * p < m
-                    or delta >= (0, 0)
-                    or any(w not in bound for g in rot[p:] for w in g.qubits)
-                ):
-                    continue
-                score = (delta, -p, index, rot)
-                if p == m:
-                    path[-1].full = score
-                else:
-                    path[p].stop = _lower(score, path[p].stop)
-                for node in path[:p + 1]:
-                    node.best = _lower(score, node.best)
-        if tops:
-            roots[kind] = tops
+            score = (delta, -p, index, rot)
+            if p == m:
+                path[m].full = score
+            else:
+                path[p + 1].stop = min(score, path[p + 1].stop)
+            for node in path[:p + 2]:
+                node.best = min(score, node.best)
     return roots
 
 
-def _bind(
-    wires: tuple[int, ...], qubits: tuple[int, ...], binding: dict[int, int]
-) -> dict[int, int] | None:
-    """Extend the injective wire binding so wires map onto qubits, or
-    give up. The binding is copied only if it grows."""
-    trial = binding
-    for w, q in zip(wires, qubits):
-        bound = trial.get(w)
-        if bound is None:
-            if q in trial.values():
-                return None
-            if trial is binding:
-                trial = dict(binding)
-            trial[w] = q
-        elif bound != q:
-            return None
-    return trial
-
-
-_Match = tuple[_Score, tuple[int, ...], dict[int, int]]
+def _info(g: Gate) -> tuple:
+    """The gate's kind, operands and (operand, class) pairs."""
+    return g.kind, g.qubits, tuple(zip(g.qubits, _CLASSES[g.kind]))
 
 
 def _best_match(
-    tops: dict[Gate, _Node],
-    kinds: list[str],
-    qubits: list[tuple[int, ...]],
-    operands: list[tuple[tuple[int, int], ...]],
-    n: int,
-    i: int,
-) -> _Match | None:
-    """The best-scoring licensed match of the trie's rotations at
-    position i, with its matched positions and wire binding."""
-    end = min(len(kinds), i + _WINDOW)
+    root: _Node, info: list[tuple], n: int, i: int
+) -> tuple[_Score, tuple[int, ...], dict[int, int]] | None:
+    """The best-scoring licensed match at position i of the rotations in
+    root's trie, with its matched positions and wire binding."""
+    # Gate i has the kind of the first gate of every rotation under
+    # root and binds it, so the first search returns i.
+    end = min(len(info), i + _WINDOW)
 
     def search(node, last, binding, pending):
         """The first position after last that matches node's gate, with
         the binding and pending masks there, or None."""
-        t_kind = node.gate.kind
-        wires = node.gate.qubits
-        blocks = node.blocks
-        # forbid[q]: the pending bits on a bound qubit q that keep any
-        # gate from matching node's gate. Masks only grow, so once one
-        # is pending the search is over.
+        t_kind, wires, blocks = node.gate.kind, node.gate.qubits, node.blocks
+        # forbid[q]: the pending bits on a bound qubit q that keep any gate
+        # from matching; masks only grow, so then the search is over.
         forbid = [0] * n
         bound = []
         for w, block in zip(wires, blocks):
@@ -264,59 +190,46 @@ def _best_match(
                     return None
                 forbid[q] = block
                 bound.append(q)
-        # With every wire bound, a match is a gate on exactly these
-        # operands; UNORDERED_KINDS keep theirs sorted.
-        want = None
-        if len(bound) == len(wires):
-            want = tuple(sorted(bound) if t_kind in UNORDERED_KINDS else bound)
+        used = set(binding.values())
         pending = pending[:]
         for j in range(last + 1, end):
-            if kinds[j] == t_kind:
-                qs = qubits[j]
-                if want is not None:
-                    if qs == want:
-                        return j, binding, pending
-                elif not bound or bound[0] in qs:
-                    trial = _bind(wires, qs, binding)
-                    if trial is None and t_kind in UNORDERED_KINDS:
-                        trial = _bind(wires, qs[::-1], binding)
-                    if trial is not None and not any(
-                        pending[q] & block for q, block in zip(qs, blocks)
-                    ):
-                        return j, trial, pending
-            dead = False
-            for q, c in operands[j]:
-                mask = pending[q] | c
-                pending[q] = mask
+            kind, qs, operands = info[j]
+            if kind == t_kind:
+                if (not bound or bound[0] in qs) and not any(
+                    pending[q] & b for q, b in zip(qs, blocks)
+                ):
+                    # The first orientation that fits the binding binds.
+                    for o in (qs, qs[::-1]) if t_kind in UNORDERED_KINDS else (qs,):
+                        if all(
+                            binding.get(w, q) == q for w, q in zip(wires, o)
+                        ) and used.isdisjoint(
+                            q for w, q in zip(wires, o) if w not in binding
+                        ):
+                            return j, {**binding, **dict(zip(wires, o))}, pending
+            for q, c in operands:
+                mask = pending[q] = pending[q] | c
                 if mask & forbid[q]:
-                    dead = True
-            if dead:
-                return None
+                    return None
         return None
 
-    def walk(node, matched, binding, pending, best):
-        """The better of best and the best match below node, reached at
-        the positions matched with this binding and pending masks."""
-        if node.full is not None and (best is None or node.full < best[0]):
+    def walk(node, last, matched, binding, pending, best):
+        """The better of best and the best match below node, whose
+        prefix matched these positions with this binding and pending."""
+        if node.full < best[0]:
             best = node.full, matched, binding
         for child in node.children.values():
-            if child.best is None or (best is not None and best[0] < child.best):
+            if not child.best < best[0]:
                 continue
-            found = search(child, matched[-1], binding, pending)
+            found = search(child, last, binding, pending)
             if found is not None:
                 j, trial, after = found
-                best = walk(child, matched + (j,), trial, after, best)
-            elif child.stop is not None and (best is None or child.stop < best[0]):
+                best = walk(child, j, matched + (j,), trial, after, best)
+            elif child.stop < best[0]:
                 best = child.stop, matched, binding
         return best
 
-    best = None
-    for top in tops.values():
-        if top.best is None or (best is not None and best[0] < top.best):
-            continue
-        binding = dict(zip(top.gate.qubits, qubits[i]))
-        best = walk(top, (i,), binding, [0] * n, best)
-    return best
+    best = walk(root, i - 1, (), {}, [0] * n, (_NO_SCORE, (), {}))
+    return best if best[0] is not _NO_SCORE else None
 
 
 def match_and_apply(
@@ -355,13 +268,10 @@ def match_and_apply(
                     f"template {template.id!r} is not an identity word"
                 )
     gates = list(c.gates)
-    # Each gate's kind, operands and per-operand classes, kept beside it.
-    kinds = [g.kind for g in gates]
-    qubits = [g.qubits for g in gates]
-    operands = [tuple(zip(g.qubits, _CLASSES[g.kind])) for g in gates]
+    info = [_info(g) for g in gates]
     # Every kind the circuit has held; it only over-approximates the
     # kinds present, so a rotation it rules out cannot match.
-    present = frozenset(kinds)
+    present = frozenset(g.kind for g in gates)
     roots = _trie(templates, present)
     # dirty[i]: gates[i:i + _WINDOW] changed since position i last found
     # no rewrite.
@@ -374,10 +284,8 @@ def match_and_apply(
                 continue
             if deadline is not None and time.monotonic() > deadline:
                 return Circuit(c.n, tuple(gates))
-            tops = roots.get(kinds[i])
-            found = None if tops is None else _best_match(
-                tops, kinds, qubits, operands, c.n, i
-            )
+            root = roots.get(gates[i].kind)
+            found = None if root is None else _best_match(root, info, c.n, i)
             if found is None:
                 dirty[i] = False
                 i += 1
@@ -392,14 +300,11 @@ def match_and_apply(
                 roots = _trie(templates, present)
             matched = set(matched_pos)
             last = matched_pos[-1]
-            kept = [j for j in range(i, last + 1) if j not in matched]
-            new = replacement + [gates[j] for j in kept]
-            gates[i:last + 1] = new
-            kinds[i:last + 1] = [g.kind for g in new]
-            qubits[i:last + 1] = [g.qubits for g in new]
-            operands[i:last + 1] = [
-                tuple(zip(g.qubits, _CLASSES[g.kind])) for g in new
+            new = replacement + [
+                gates[j] for j in range(i, last + 1) if j not in matched
             ]
+            gates[i:last + 1] = new
+            info[i:last + 1] = [_info(g) for g in new]
             dirty[i:last + 1] = [True] * len(new)
             dirty[max(0, i - _WINDOW + 1):i] = [True] * min(i, _WINDOW - 1)
     return Circuit(c.n, tuple(gates))
@@ -415,58 +320,3 @@ def reduce_single_qubit(c: Circuit) -> Circuit:
     if out.two_qubit_count != c.two_qubit_count:
         raise AssertionError("single-qubit pass changed two-qubit weight")
     return out
-
-
-def to_cz_form(c: Circuit) -> Circuit:
-    """Rewrite each CX as H-conjugated CZ; other gates pass through."""
-    gates: list[Gate] = []
-    for g in c.gates:
-        if g.kind == "cx":
-            ctrl, tgt = g.qubits
-            gates += [h(tgt), Gate("cz", (ctrl, tgt)), h(tgt)]
-        else:
-            gates.append(g)
-    return Circuit(c.n, tuple(gates))
-
-
-def push_singles(c: Circuit, direction: str) -> Circuit:
-    """Bubble single-qubit gates past two-qubit gates they commute with.
-
-    Rightward, a diagonal gate (S, S-dagger, Z) hops over a CZ or a CX
-    control on its wire, any single hops over a disjoint two-qubit gate,
-    and an H followed by a CZ on its wire turns the CZ into a CX with
-    the H re-emitted after it. Leftward mirrors the same moves.
-    """
-    if direction not in ("left", "right"):
-        raise ValueError(f"direction must be 'left' or 'right', not {direction!r}")
-    gates = list(c.gates)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(len(gates) - 1):
-            first, second = gates[i], gates[i + 1]
-            if direction == "right":
-                new = _commute_right(first, second)
-            else:
-                new = _commute_right(second, first)
-                new = (new[1], new[0]) if new is not None else None
-            if new is not None:
-                gates[i], gates[i + 1] = new
-                moved = True
-    return Circuit(c.n, tuple(gates))
-
-
-def _commute_right(first: Gate, second: Gate) -> tuple[Gate, Gate] | None:
-    """Reorder [first, second] to an equivalent [second', first'] when
-    first is a single-qubit gate that can hop right over second."""
-    if len(first.qubits) != 1 or len(second.qubits) != 2:
-        return None
-    w = first.qubits[0]
-    if w not in second.qubits:
-        return second, first
-    if first.kind in ("s", "sdg", "z") and _CLASSES[second.kind][second.qubits.index(w)] == _DIAG_Z:
-        return second, first
-    if first.kind == "h" and second.kind == "cz":
-        other = second.qubits[0] if second.qubits[1] == w else second.qubits[1]
-        return cx(other, w), first
-    return None

@@ -16,16 +16,10 @@ from cliffopt import (
     s,
     sdg,
     swap,
-    x,
     y,
     z,
 )
-from cliffopt.matching import (
-    match_and_apply,
-    push_singles,
-    reduce_single_qubit,
-    to_cz_form,
-)
+from cliffopt.matching import match_and_apply, reduce_single_qubit
 from cliffopt.templates import (
     Template,
     builtin_templates,
@@ -187,39 +181,6 @@ def test_past_deadline_returns_input_unchanged():
     c = Circuit(2, (cz(0, 1), cz(0, 1), h(0), h(0)))
     assert match_and_apply(c).gates == ()
     assert match_and_apply(c, deadline=time.monotonic() - 1.0) == c
-
-
-def test_to_cz_form():
-    rng = random.Random(7)
-    for _ in range(20):
-        c = random_circuit(rng, 3, 20)
-        out = to_cz_form(c)
-        assert out.count_kind("cx") == 0
-        assert out.two_qubit_count == c.two_qubit_count
-        assert circuit_to_tableau(out) == circuit_to_tableau(c)
-
-
-def test_push_singles_moves():
-    out = push_singles(Circuit(2, (s(0), cz(0, 1))), "right")
-    assert out.gates == (cz(0, 1), s(0))
-    out = push_singles(Circuit(2, (h(0), cz(0, 1))), "right")
-    assert out.gates == (cx(1, 0), h(0))
-    out = push_singles(Circuit(2, (cz(0, 1), h(0))), "left")
-    assert out.gates == (h(0), cx(1, 0))
-    out = push_singles(Circuit(3, (sdg(0), cz(1, 2))), "right")
-    assert out.gates == (cz(1, 2), sdg(0))
-    # X does not commute with a CZ leg.
-    frozen = Circuit(2, (x(0), cz(0, 1)))
-    assert push_singles(frozen, "right") == frozen
-
-
-def test_push_singles_preserves_tableau():
-    rng = random.Random(9)
-    for direction in ("left", "right"):
-        for _ in range(25):
-            c = random_circuit(rng, 4, 30)
-            out = push_singles(c, direction)
-            assert circuit_to_tableau(out) == circuit_to_tableau(c)
 
 
 def test_reduce_single_qubit():
