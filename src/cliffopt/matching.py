@@ -246,8 +246,8 @@ def match_and_apply(
     decrease is applied, ties going to the longer match and then to the
     lower rotation index, so the result is deterministic. Rotations are
     indexed in template order, each template's word before its inverse,
-    and by rotation offset within a word; a rotation that repeats keeps
-    its first index.
+    by rotation offset within a word, and each before its wire-exchanged
+    variants (``_rotations``); a repeated rotation keeps its first index.
 
     Sweeps repeat while some position is unsettled. A position settles
     when it finds no rewrite, and unsettles when a rewrite changes its
