@@ -66,6 +66,11 @@ _CLASSES: dict[str, tuple[int, ...]] = {
     "h": (_HY,), "y": (_HY,), "cz": (_DIAG_Z, _DIAG_Z),
     "cx": (_DIAG_Z, _DIAG_X), "swap": (_BLOCK, _BLOCK),
 }
+# The pending bits on each operand that a gate of the kind cannot move
+# left past: all but its own class, and always a SWAP.
+_BLOCKS = {
+    k: tuple(_ALL & ~c | _BLOCK for c in cs) for k, cs in _CLASSES.items()
+}
 
 # A scored match: (delta, -p, rotation index, rotation). Indices are
 # unique, so comparisons never reach the rotation. Every improving delta
@@ -111,18 +116,14 @@ class _Node:
 
     ``full`` scores the rotation that ends here, matched whole; ``stop``
     the best of those below whose match ends before this gate, as its
-    search failed; ``best`` the best of either in the subtree. Each is
-    _NO_SCORE when no such match licenses an improvement.
+    search failed, or _NO_SCORE when none licenses an improvement;
+    ``best`` the best ``full`` in the subtree, below every score there.
     """
 
-    __slots__ = ("gate", "blocks", "children", "full", "stop", "best")
+    __slots__ = ("gate", "children", "full", "stop", "best")
 
     def __init__(self, gate: Gate | None) -> None:
         self.gate = gate
-        # The pending bits on each operand that a gate matching this one
-        # cannot move left past: all but its own class, and always a SWAP.
-        classes = _CLASSES[gate.kind] if gate else ()
-        self.blocks = tuple(_ALL & ~c | _BLOCK for c in classes)
         self.children: dict[Gate, _Node] = {}
         self.full = self.stop = self.best = _NO_SCORE
 
@@ -143,21 +144,19 @@ def _trie(
         for g in rot:
             path.append(path[-1].children.setdefault(g, _Node(g)))
         weights = [TWO_QUBIT_WEIGHT.get(g.kind, 0) for g in rot]
-        bound: set[int] = set()
-        for p in range(1, m + 1):
-            bound.update(rot[p - 1].qubits)
+        for p in range((m + 1) // 2, m):
             delta = (sum(weights[p:]) - sum(weights[:p]), m - 2 * p)
-            if 2 * p < m or delta >= (0, 0) or not bound.issuperset(
+            bound = {w for g in rot[:p] for w in g.qubits}
+            if delta < (0, 0) and bound.issuperset(
                 w for g in rot[p:] for w in g.qubits
             ):
-                continue
-            score = (delta, -p, index, rot)
-            if p == m:
-                path[m].full = score
-            else:
+                score = (delta, -p, index, rot)
                 path[p + 1].stop = min(score, path[p + 1].stop)
-            for node in path[:p + 2]:
-                node.best = min(score, node.best)
+        # delta falls as p grows, so a rotation matched whole scores below
+        # any of its shorter matches.
+        path[m].full = ((-sum(weights), -m), -m, index, rot)
+        for node in path:
+            node.best = min(path[m].full, node.best)
     return roots
 
 
@@ -178,7 +177,8 @@ def _best_match(
     def search(node, last, binding, pending):
         """The first position after last that matches node's gate, with
         the binding and pending masks there, or None."""
-        t_kind, wires, blocks = node.gate.kind, node.gate.qubits, node.blocks
+        t_kind, wires = node.gate.kind, node.gate.qubits
+        blocks = _BLOCKS[t_kind]
         # forbid[q]: the pending bits on a bound qubit q that keep any gate
         # from matching; masks only grow, so then the search is over.
         forbid = [0] * n
