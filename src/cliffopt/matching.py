@@ -229,6 +229,7 @@ def _best_match(
         return best
 
     best = walk(root, i - 1, (), {}, [0] * n, (_NO_SCORE, (), {}))
+    del walk  # it refers to itself; the cycle would keep info alive
     return best if best[0] is not _NO_SCORE else None
 
 

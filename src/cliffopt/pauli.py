@@ -32,8 +32,7 @@ class PauliOperator:
     phase_exp: int = 0
 
     def __post_init__(self) -> None:
-        # Plain ints, the common case, skip the conversion. operator.index
-        # takes int and numpy integers, not 1.5 or "1".
+        # operator.index takes int and numpy integers, not 1.5 or "1".
         if not (
             type(self.n) is type(self.x_bits) is type(self.z_bits)
             is type(self.phase_exp) is int
