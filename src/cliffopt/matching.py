@@ -128,13 +128,13 @@ class _Node:
         self.full = self.stop = self.best = _NO_SCORE
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _trie(
     templates: tuple[Template, ...], present: frozenset[str]
 ) -> dict[str, _Node]:
     """The trie root of each first-gate kind. A rotation of m gates is
     left out when a kind among its gates 1 to ceil(m/2) - 1 is not in
-    ``present``. Nodes never change once built, so calls share them."""
+    ``present``. Nodes never change, so calls share the 8 last used."""
     roots: dict[str, _Node] = {}
     for index, rot in enumerate(_rotations(templates)):
         m = len(rot)
