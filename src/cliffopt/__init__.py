@@ -15,16 +15,15 @@ from .circuit import (
     z,
 )
 from .pauli import PauliOperator, anticommute, conjugate_pauli
-from .synth import (
+from .synth.canonical import ag_canonical
+from .synth.disentangle import (
     DisentangleResult,
     StandardFormPartition,
-    ag_canonical,
     disentangle_cost,
     disentangler,
-    greedy_bidirectional,
-    greedy_unidirectional,
     standard_form,
 )
+from .synth.greedy import greedy_bidirectional, greedy_unidirectional
 from .tableau import (
     CliffordTableau,
     circuit_to_tableau,

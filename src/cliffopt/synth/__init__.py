@@ -1,22 +1,1 @@
 """Clifford synthesis: tableau-to-circuit compilers."""
-
-from .canonical import ag_canonical
-from .disentangle import (
-    DisentangleResult,
-    StandardFormPartition,
-    disentangle_cost,
-    disentangler,
-    standard_form,
-)
-from .greedy import greedy_bidirectional, greedy_unidirectional
-
-__all__ = [
-    "DisentangleResult",
-    "StandardFormPartition",
-    "ag_canonical",
-    "disentangle_cost",
-    "disentangler",
-    "greedy_bidirectional",
-    "greedy_unidirectional",
-    "standard_form",
-]

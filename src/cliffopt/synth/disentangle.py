@@ -119,23 +119,19 @@ def _check_pair(o: PauliOperator, o2: PauliOperator) -> None:
         )
 
 
-def _local_layer(o: PauliOperator, o2: PauliOperator) -> list[Gate]:
-    """Time-ordered single-qubit gates standardizing every supported qubit."""
-    return [
-        Gate(kind, (q,))
-        for q in _bits(o.x_bits | o.z_bits | o2.x_bits | o2.z_bits)
-        for kind in _LOCAL_WORDS[(o.axis(q), o2.axis(q))]
-    ]
-
-
 def standard_form(o: PauliOperator, o2: PauliOperator) -> StandardFormPartition:
     """Single-qubit layer standardizing the pair, and the class split."""
     _check_pair(o, o2)
     a, b, c, d = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
     support = a | b | c | d
     e = tuple(q for q in range(o.n) if not (support >> q) & 1)
+    local_layer = tuple(
+        Gate(kind, (q,))
+        for q in _bits(support)
+        for kind in _LOCAL_WORDS[(o.axis(q), o2.axis(q))]
+    )
     return StandardFormPartition(
-        local_layer=Circuit(o.n, tuple(_local_layer(o, o2))),
+        local_layer=Circuit(o.n, local_layer),
         a=tuple(_bits(a)),
         b=tuple(_bits(b)),
         c=tuple(_bits(c)),
@@ -152,12 +148,9 @@ def clean_pair_gates(
     The anchor a = min(A) is reduced first; when it is not the target, a
     trailing SWAP moves it there. The CX count is ``pair_cost_bits``.
     """
-    _check_pair(o, o2)
+    part = standard_form(o, o2)
     if not 0 <= target < o.n:
         raise ValueError(f"target {target} out of range")
-    a_mask, b_mask, c_mask, d_mask = _class_masks(
-        o.x_bits, o.z_bits, o2.x_bits, o2.z_bits
-    )
     gates: list[Gate] = []
 
     def emit(gate: Gate) -> None:
@@ -166,24 +159,22 @@ def clean_pair_gates(
         o = o.conjugated(gate)
         o2 = o2.conjugated(gate)
 
-    for gate in _local_layer(o, o2):
+    for gate in part.local_layer.gates:
         emit(gate)
 
-    a_list = _bits(a_mask)
-    anchor = a_list[0]
-    for q in _bits(c_mask):
+    anchor = part.a[0]
+    for q in part.c:
         emit(cx(anchor, q))
-    for q in _bits(d_mask):
+    for q in part.d:
         emit(cx(q, anchor))
-    b_list = _bits(b_mask)
-    if b_list:
-        i = b_list[0]
-        for q in b_list[1:]:
+    if part.b:
+        i = part.b[0]
+        for q in part.b[1:]:
             emit(cx(i, q))
         emit(cx(anchor, i))
         emit(h(i))
         emit(cx(i, anchor))
-    rest = a_list[1:]
+    rest = part.a[1:]
     for p, q in zip(rest[0::2], rest[1::2]):
         emit(cx(q, p))
         emit(cx(p, anchor))

@@ -9,6 +9,14 @@ makes a gate application O(1) big-int operations instead of O(n).
 
 Global phase is never represented: two circuits are considered equal
 when all 2n rows agree including signs.
+
+Two primitives act on this layout: row read and write (``row_bits``,
+``row``, ``_set_row``, ``conjugate``) and left application of a gate
+(``pauli.conjugate_columns``). The rest is derived. Row r of U.C is
+U (C P_r C^-1) U^-1, where C P_r C^-1 is a row of the circuit's own
+tableau; ``then`` and ``inverse`` write a tableau as a circuit by
+``ag_canonical``'s elimination (Aaronson-Gottesman), then apply or
+invert that circuit.
 """
 
 from __future__ import annotations
@@ -100,6 +108,18 @@ class CliffordTableau:
         if ((self._e1 >> r) & 1) != ((p.phase_exp >> 1) & 1):
             self._e1 ^= 1 << r
 
+    def conjugate(self, p: PauliOperator) -> PauliOperator:
+        """The image U p U^-1 of an arbitrary Pauli operator."""
+        if p.n != self.n:
+            raise ValueError(f"width mismatch: {p.n} vs {self.n}")
+        acc = PauliOperator(self.n, 0, 0, p.phase_exp)
+        for q in range(self.n):
+            if (p.x_bits >> q) & 1:
+                acc = acc * self.row(q)
+            if (p.z_bits >> q) & 1:
+                acc = acc * self.row(self.n + q)
+        return acc
+
     # ------------------------------------------------------------------
     # Left application: tableau of (gate . U)
 
@@ -117,78 +137,35 @@ class CliffordTableau:
         return out
 
     # ------------------------------------------------------------------
-    # Right application: tableau of (U . gate)
-
-    def _right_apply_inplace(self, gate: Gate) -> None:
-        # Row r of U.G is U (G P_r G^-1) U^-1 for P_r = X_r or Z_{r-n};
-        # only the rows of the gate's qubits change.
-        n = self.n
-        images = {}
-        for q in gate.qubits:
-            images[q] = self.conjugate(PauliOperator(n, 1 << q, 0).conjugated(gate))
-            images[n + q] = self.conjugate(PauliOperator(n, 0, 1 << q).conjugated(gate))
-        for r, image in images.items():
-            self._set_row(r, image)
+    # Derived operations
 
     def right_apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
         """Tableau of U . C where C is the circuit unitary."""
         if circuit.n != self.n:
             raise ValueError(f"width mismatch: {circuit.n} vs {self.n}")
+        # Row r of U.C is U (C P_r C^-1) U^-1 for P_r = X_r or Z_{r-n},
+        # and C P_r C^-1 is row r of the circuit's own tableau. Only the
+        # rows of the circuit's qubits change.
+        inner = circuit_to_tableau(circuit)
         out = self.copy()
-        for gate in reversed(circuit.gates):
-            out._right_apply_inplace(gate)
+        for q in {q for gate in circuit.gates for q in gate.qubits}:
+            for r in (q, self.n + q):
+                out._set_row(r, self.conjugate(inner.row(r)))
         return out
-
-    # ------------------------------------------------------------------
-    # Whole-tableau operations
-
-    def conjugate(self, p: PauliOperator) -> PauliOperator:
-        """The image U p U^-1 of an arbitrary Pauli operator."""
-        if p.n != self.n:
-            raise ValueError(f"width mismatch: {p.n} vs {self.n}")
-        acc = PauliOperator(self.n, 0, 0, p.phase_exp)
-        for q in range(self.n):
-            if (p.x_bits >> q) & 1:
-                acc = acc * self.row(q)
-            if (p.z_bits >> q) & 1:
-                acc = acc * self.row(self.n + q)
-        return acc
 
     def then(self, other: "CliffordTableau") -> "CliffordTableau":
         """Tableau of (other_unitary . self_unitary)."""
+        from .synth.canonical import ag_canonical
+
         if other.n != self.n:
             raise ValueError(f"width mismatch: {other.n} vs {self.n}")
-        out = CliffordTableau.identity(self.n)
-        for r in range(2 * self.n):
-            out._set_row(r, other.conjugate(self.row(r)))
-        return out
+        return self.apply_circuit(ag_canonical(other))
 
     def inverse(self) -> "CliffordTableau":
         """Tableau of the inverse unitary."""
-        n = self.n
-        rows = [self.row_bits(r) for r in range(2 * n)]
-        out = CliffordTableau.identity(n)
-        half = n
+        from .synth.canonical import ag_canonical
 
-        def entry(r: int, c: int) -> int:
-            # Bit c of row r in (x | z) column order.
-            xb, zb = rows[r]
-            return ((xb >> c) & 1) if c < n else ((zb >> (c - n)) & 1)
-
-        for r in range(2 * n):
-            # Bit c of inverse row r is M[(c+n) % 2n, (r+n) % 2n].
-            x = z = 0
-            for q in range(n):
-                x |= entry((q + half) % (2 * n), (r + half) % (2 * n)) << q
-                z |= entry(q, (r + half) % (2 * n)) << q
-            candidate = PauliOperator(n, x, z, 0)
-            image = self.conjugate(candidate)
-            target_x = (1 << r) if r < n else 0
-            target_z = (1 << (r - n)) if r >= n else 0
-            if image.x_bits != target_x or image.z_bits != target_z:
-                raise AssertionError("tableau is not symplectic")
-            out._set_row(r, PauliOperator(n, x, z, -image.phase_exp))
-        return out
+        return circuit_to_tableau(ag_canonical(self).inverse())
 
     def is_identity(self) -> bool:
         if self._e0 or self._e1:

@@ -9,6 +9,7 @@ the prefix covers more than half the word.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +23,25 @@ class Template:
     id: str
     gates: tuple[Gate, ...]
     size: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gates", tuple(self.gates))
+        try:
+            size = operator.index(self.size)
+        except TypeError:
+            size = 0
+        if size < 1:
+            raise ValueError(
+                f"template {self.id!r}: size {self.size!r} is not a "
+                "positive integer"
+            )
+        object.__setattr__(self, "size", size)
+        for g in self.gates:
+            if not isinstance(g, Gate) or max(g.qubits) >= size:
+                raise ValueError(
+                    f"template {self.id!r}: {g!r} is not a gate on wires "
+                    f"0..{size - 1}"
+                )
 
 
 @lru_cache(maxsize=1)

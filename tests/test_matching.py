@@ -175,6 +175,19 @@ def test_caller_template_must_be_identity():
         match_and_apply(Circuit(1, (h(0), s(0))), (bad,))
     with pytest.raises(ValueError, match="'bad'"):
         match_and_apply(Circuit(1, (h(0), s(0))), _by_id("hh") + (bad,))
+    # Malformed fields are rejected when the template is made.
+    for gates, size in (
+        ((cz(0, 1), cz(0, 1)), 1),
+        ((h(0), h(0)), 1.5),
+        (("h 0", "h 0"), 1),
+        ((), 0),
+    ):
+        with pytest.raises(ValueError, match="'bad'"):
+            match_and_apply(Circuit(2, ()), (Template("bad", gates, size),))
+    # Gates given as a list are taken as a tuple, as Circuit takes them.
+    listed = Template("listed", [cz(0, 1), cz(0, 1)], 2)
+    c = Circuit(2, (cz(0, 1), cz(0, 1)))
+    assert match_and_apply(c, (listed,)).gates == ()
 
 
 def test_past_deadline_returns_input_unchanged():

@@ -97,6 +97,19 @@ def test_then_composes():
         combined = circuit_to_tableau(c1 + c2)
         assert combined == circuit_to_tableau(c1).then(circuit_to_tableau(c2))
         assert combined == circuit_to_tableau(c2).right_apply_circuit(c1)
+    # At width, against circuit concatenation and against the row images
+    # U2 (U1 P_r U1^-1) U2^-1, neither of which runs ag_canonical.
+    for n in (1, 8, 12):
+        for seed in (1, 2):
+            t1, t2 = random_clifford(n, seed), random_clifford(n, seed + 2)
+            c1 = random_circuit(rng, n, 40)
+            c2 = random_circuit(rng, n, 40)
+            t_c1, t_c2 = circuit_to_tableau(c1), circuit_to_tableau(c2)
+            assert t_c1.then(t_c2) == circuit_to_tableau(c1 + c2)
+            assert t1.then(t_c1) == t1.apply_circuit(c1)
+            composed = t1.then(t2)
+            for r in range(2 * n):
+                assert composed.row(r) == t2.conjugate(t1.row(r))
 
 
 def test_right_apply_matches_left():
@@ -107,6 +120,16 @@ def test_right_apply_matches_left():
         left = CliffordTableau.identity(n).apply_circuit(c)
         right = CliffordTableau.identity(n).right_apply_circuit(c)
         assert left == right
+    # Wider circuits with SWAPs, applied to the right of a non-identity U.
+    for n in (2, 7, 12):
+        c0 = random_circuit(rng, n, 30)
+        c = random_circuit(rng, n, 30)
+        c = c.extended(swap(q, (q + 1) % n) for q in range(n - 1, -1, -2))
+        left = CliffordTableau.identity(n).apply_circuit(c)
+        assert left == CliffordTableau.identity(n).right_apply_circuit(c)
+        assert circuit_to_tableau(c + c0) == (
+            circuit_to_tableau(c0).right_apply_circuit(c)
+        )
 
 
 def test_inverse():
@@ -119,6 +142,22 @@ def test_inverse():
         assert t.then(ti).is_identity()
         assert ti.then(t).is_identity()
         assert ti == circuit_to_tableau(c.inverse())
+    # At width, against the inverted circuit, and against the rows: U^-1
+    # maps row r of U back to X_r or Z_{r-n}, sign exact.
+    for n in (1, 8, 12):
+        c = random_circuit(rng, n, 60)
+        assert circuit_to_tableau(c).inverse() == circuit_to_tableau(c.inverse())
+        identity = CliffordTableau.identity(n)
+        for seed in (1, 2):
+            t = random_clifford(n, seed)
+            ti = t.inverse()
+            for r in range(2 * n):
+                assert ti.conjugate(t.row(r)) == identity.row(r)
+                assert t.conjugate(ti.row(r)) == identity.row(r)
+    # Elimination does not accept a non-symplectic tableau: here both X_0
+    # and Z_0 map to X_0.
+    with pytest.raises(AssertionError):
+        CliffordTableau(1, [0b11], [0b00]).inverse()
 
 
 def test_rows_are_hermitian():
