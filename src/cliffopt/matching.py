@@ -30,7 +30,10 @@ state. Where a search fails, every rotation below ends with the
 parent's match, as its own scan would, so the rewrites are unchanged.
 Whether a match licenses a rewrite (at least half the word, every wire
 of the remainder bound) and its score depend only on the rotation and
-the match length, so the trie holds them ahead of time.
+the match length, so the trie holds them ahead of time. The pending
+masks are one integer, qubit q's at bit 4q, and each circuit gate holds
+the bits it adds and the bits that block it, so stepping over a gate
+is two integer operations.
 
 Prunes skip only work that cannot change the rewrite applied: a search
 stops once no later gate can match (on a bound wire a match may pass
@@ -161,12 +164,17 @@ def _trie(
 
 
 def _info(g: Gate) -> tuple:
-    """The gate's kind, operands and (operand, class) pairs."""
-    return g.kind, g.qubits, tuple(zip(g.qubits, _CLASSES[g.kind]))
+    """The gate's kind and operands, the pending bits it adds over its
+    operands, and the pending bits there that keep it from moving left."""
+    add = blk = 0
+    for q, c, b in zip(g.qubits, _CLASSES[g.kind], _BLOCKS[g.kind]):
+        add |= c << 4 * q
+        blk |= b << 4 * q
+    return g.kind, g.qubits, add, blk
 
 
 def _best_match(
-    root: _Node, info: list[tuple], n: int, i: int
+    root: _Node, info: list[tuple], i: int
 ) -> tuple[_Score, tuple[int, ...], dict[int, int]] | None:
     """The best-scoring licensed match at position i of the rotations in
     root's trie, with its matched positions and wire binding."""
@@ -176,40 +184,44 @@ def _best_match(
 
     def search(node, last, binding, pending):
         """The first position after last that matches node's gate, with
-        the binding and pending masks there, or None."""
+        the binding and pending masks there, or None. A gate whose wires
+        are all bound matches only on their qubits, keeping the binding."""
         t_kind, wires = node.gate.kind, node.gate.qubits
-        blocks = _BLOCKS[t_kind]
-        # forbid[q]: the pending bits on a bound qubit q that keep any gate
-        # from matching; masks only grow, so then the search is over.
-        forbid = [0] * n
+        # The pending bits on the bound qubits that keep any gate from
+        # matching; masks only grow, so then the search is over.
+        forbid = 0
         bound = []
-        for w, block in zip(wires, blocks):
+        for w, block in zip(wires, _BLOCKS[t_kind]):
             q = binding.get(w)
             if q is not None:
-                if pending[q] & block:
-                    return None
-                forbid[q] = block
+                forbid |= block << 4 * q
                 bound.append(q)
-        used = set(binding.values())
-        pending = pending[:]
+        if pending & forbid:
+            return None
+        unordered = t_kind in UNORDERED_KINDS
+        target = None
+        if len(bound) == len(wires):
+            # Circuit gates hold CZ and SWAP operands sorted.
+            target = tuple(sorted(bound) if unordered else bound)
         for j in range(last + 1, end):
-            kind, qs, operands = info[j]
-            if kind == t_kind:
-                if (not bound or bound[0] in qs) and not any(
-                    pending[q] & b for q, b in zip(qs, blocks)
-                ):
+            kind, qs, add, blk = info[j]
+            if kind == t_kind and not pending & blk:
+                if target is not None:
+                    if qs == target:
+                        return j, binding, pending
+                elif not bound or bound[0] in qs:
+                    used = set(binding.values())
                     # The first orientation that fits the binding binds.
-                    for o in (qs, qs[::-1]) if t_kind in UNORDERED_KINDS else (qs,):
+                    for o in (qs, qs[::-1]) if unordered else (qs,):
                         if all(
                             binding.get(w, q) == q for w, q in zip(wires, o)
                         ) and used.isdisjoint(
                             q for w, q in zip(wires, o) if w not in binding
                         ):
                             return j, {**binding, **dict(zip(wires, o))}, pending
-            for q, c in operands:
-                mask = pending[q] = pending[q] | c
-                if mask & forbid[q]:
-                    return None
+            pending |= add
+            if pending & forbid:
+                return None
         return None
 
     def walk(node, last, matched, binding, pending, best):
@@ -228,7 +240,7 @@ def _best_match(
                 best = child.stop, matched, binding
         return best
 
-    best = walk(root, i - 1, (), {}, [0] * n, (_NO_SCORE, (), {}))
+    best = walk(root, i - 1, (), {}, 0, (_NO_SCORE, (), {}))
     del walk  # it refers to itself; the cycle would keep info alive
     return best if best[0] is not _NO_SCORE else None
 
@@ -264,6 +276,8 @@ def match_and_apply(
     else:
         templates = tuple(templates)
         for template in templates:
+            if not isinstance(template, Template):
+                raise ValueError(f"template element {template!r} is not a Template")
             if not template_is_identity(template):
                 raise ValueError(
                     f"template {template.id!r} is not an identity word"
@@ -286,7 +300,7 @@ def match_and_apply(
             if deadline is not None and time.monotonic() > deadline:
                 return Circuit(c.n, tuple(gates))
             root = roots.get(gates[i].kind)
-            found = None if root is None else _best_match(root, info, c.n, i)
+            found = None if root is None else _best_match(root, info, i)
             if found is None:
                 dirty[i] = False
                 i += 1

@@ -168,6 +168,23 @@ def test_cz_form_outputs_match_recorded_digest():
     )
 
 
+def test_matcher_is_equivariant_under_monotone_relabeling():
+    # Pending masks take 4 bits per qubit, so on 64 qubits they span up
+    # to 256 bits. An order-preserving relabeling keeps the operand order
+    # of every CZ and SWAP, so the wide output is the narrow one,
+    # relabeled.
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randrange(2, 7)
+        narrow = random_circuit(rng, n, rng.randrange(50, 201))
+        labels = sorted(rng.sample(range(64), n))
+        wide = Circuit(64, tuple(g.relabeled(labels) for g in narrow.gates))
+        expected = tuple(
+            g.relabeled(labels) for g in match_and_apply(narrow).gates
+        )
+        assert match_and_apply(wide).gates == expected
+
+
 def test_caller_template_must_be_identity():
     # Taking h s for an identity would erase it, changing the tableau.
     bad = Template("bad", (h(0), s(0)), 1)
@@ -184,6 +201,9 @@ def test_caller_template_must_be_identity():
     ):
         with pytest.raises(ValueError, match="'bad'"):
             match_and_apply(Circuit(2, ()), (Template("bad", gates, size),))
+    # So is an element that is not a Template.
+    with pytest.raises(ValueError, match="None is not a Template"):
+        match_and_apply(Circuit(1, (h(0), h(0))), [None])
     # Gates given as a list are taken as a tuple, as Circuit takes them.
     listed = Template("listed", [cz(0, 1), cz(0, 1)], 2)
     c = Circuit(2, (cz(0, 1), cz(0, 1)))
