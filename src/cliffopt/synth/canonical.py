@@ -26,13 +26,24 @@ def ag_canonical(t: CliffordTableau) -> Circuit:
         cleaning.append(gate)
         work._apply_inplace(gate)
 
+    def pivot(mask: int, part: str) -> int:
+        """The lowest qubit at or after k in mask. Once qubits below k
+        are reduced, row k of a symplectic tableau has one there."""
+        bits = _bits(mask, k)
+        if not bits:
+            raise AssertionError(
+                f"row {k} has no {part} support at or after qubit {k}: "
+                "the tableau is not symplectic"
+            )
+        return bits[0]
+
     for k in range(n):
         px, pz = work.row_bits(k)
         if px == 0:
-            emit(h(_bits(pz, k)[0]))
+            emit(h(pivot(pz, "X or Z")))
             px, pz = work.row_bits(k)
         if not (px >> k) & 1:
-            emit(cx(_bits(px, k + 1)[0], k))
+            emit(cx(pivot(px, "X"), k))
             px, pz = work.row_bits(k)
         for j in _bits(px, k + 1):
             emit(cx(k, j))

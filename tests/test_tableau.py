@@ -155,9 +155,14 @@ def test_inverse():
                 assert ti.conjugate(t.row(r)) == identity.row(r)
                 assert t.conjugate(ti.row(r)) == identity.row(r)
     # Elimination does not accept a non-symplectic tableau: here both X_0
-    # and Z_0 map to X_0.
+    # and Z_0 map to X_0; both map to the identity; and X_0 and X_1 both
+    # map to X_0, Z_0 and Z_1 both to Z_1. The last two leave a row with
+    # no pivot, which names the broken invariant.
     with pytest.raises(AssertionError):
         CliffordTableau(1, [0b11], [0b00]).inverse()
+    for x, z in (([0], [0]), ([0b0011, 0], [0, 0b1100])):
+        with pytest.raises(AssertionError, match="not symplectic"):
+            CliffordTableau(len(x), x, z).inverse()
 
 
 def test_rows_are_hermitian():
