@@ -5,15 +5,18 @@ contains no Pauli or SWAP gates, P is a wire permutation, and F is a
 layer of Pauli gates. Pauli gates commute outward through Cliffords by
 conjugation, and SWAP gates by relabeling, so both can be pulled out of
 the gate stream and handled for free: the permutation by renaming
-wires, the Pauli layer by reinterpreting measurement outcomes.
+wires, the Pauli layer by reinterpreting measurement outcomes. The
+partition carries the Pauli layer in column form, as a one-row tableau
+that ``pauli.conjugate_columns`` updates in place.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, PAULI_KINDS, cx, h, swap, x, y, z
-from .pauli import _AXIS_BITS, PauliOperator
+from .pauli import _AXIS_BITS, PauliOperator, conjugate_columns
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,18 @@ class StagePartition:
     pauli: PauliOperator
 
     def __post_init__(self) -> None:
+        if not isinstance(self.compute, Circuit):
+            raise ValueError(f"compute {self.compute!r} is not a Circuit")
         n = self.compute.n
-        if sorted(self.permutation) != list(range(n)):
+        try:
+            perm = tuple(map(operator.index, self.permutation))
+        except TypeError:
+            perm = ()
+        if sorted(perm) != list(range(n)):
             raise ValueError(
                 f"permutation {self.permutation} does not permute range({n})"
             )
+        object.__setattr__(self, "permutation", perm)
         if self.pauli.n != n:
             raise ValueError(f"pauli has {self.pauli.n} qubit(s), compute {n}")
 
@@ -77,23 +87,30 @@ def _transpositions(perm) -> list[tuple[int, int]]:
 def partition_stages(c: Circuit) -> StagePartition:
     """Factor c into compute, permutation, and Pauli stages."""
     n = c.n
-    pauli = PauliOperator.identity(n)
+    # The Pauli layer as a one-row tableau: one-bit columns and phase planes.
+    px, pz = [0] * n, [0] * n
+    e0 = e1 = 0
     # wire[w]: the compute-stage wire that holds what c has on wire w so far.
     wire = list(range(n))
     compute: list[Gate] = []
     for g in c.gates:
         if g.kind in PAULI_KINDS:
+            # Left-multiply by X^xb Z^zb on q: its Z passes the layer's X.
             xb, zb = _AXIS_BITS[g.kind.upper()]
             q = g.qubits[0]
-            pauli = PauliOperator(n, xb << q, zb << q) * pauli
+            e1 ^= zb & px[q]
+            px[q] ^= xb
+            pz[q] ^= zb
             continue
-        pauli = pauli.conjugated(g)
+        e0, e1 = conjugate_columns(g, px, pz, e0, e1)
         if g.kind == "swap":
             a, b = g.qubits
             wire[a], wire[b] = wire[b], wire[a]
         else:
             compute.append(g.relabeled(wire))
     perm = tuple(wire.index(w) for w in range(n))
+    xs, zs = (sum(b << q for q, b in enumerate(col)) for col in (px, pz))
+    pauli = PauliOperator(n, xs, zs, e0 + 2 * e1)
     return StagePartition(Circuit(n, tuple(compute)), perm, pauli)
 
 

@@ -12,8 +12,9 @@ support into classes:
 
 Anticommutation forces |A| to be odd, so an anchor a = min(A) exists.
 A CX network then folds classes C, D, B and the remaining A pairs onto
-the anchor, a Pauli gate repairs the signs, and a final SWAP moves the
-anchor to the requested target qubit. The CX count is exactly
+the anchor. One pass of these gates over the pair, held as a two-row
+tableau, gives the signs left on the anchor; a Pauli gate repairs them,
+and a SWAP moves the anchor to the target qubit. The CX count is exactly
 
   |C| + |D| + (|B| + 1 if B else 0) + 3(|A| - 1)/2.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..circuit import Circuit, Gate, cx, h, swap, x, y, z
-from ..pauli import PauliOperator, anticommute
+from ..pauli import PauliOperator, anticommute, conjugate_columns
 
 # Time-ordered single-qubit word standardizing one qubit's (O, O') letters.
 _LOCAL_WORDS: dict[tuple[str, str], tuple[str, ...]] = {
@@ -151,45 +152,34 @@ def clean_pair_gates(
     part = standard_form(o, o2)
     if not 0 <= target < o.n:
         raise ValueError(f"target {target} out of range")
-    gates: list[Gate] = []
-
-    def emit(gate: Gate) -> None:
-        nonlocal o, o2
-        gates.append(gate)
-        o = o.conjugated(gate)
-        o2 = o2.conjugated(gate)
-
-    for gate in part.local_layer.gates:
-        emit(gate)
-
     anchor = part.a[0]
-    for q in part.c:
-        emit(cx(anchor, q))
-    for q in part.d:
-        emit(cx(q, anchor))
+    gates = list(part.local_layer.gates)
+    gates += [cx(anchor, q) for q in part.c]
+    gates += [cx(q, anchor) for q in part.d]
     if part.b:
         i = part.b[0]
-        for q in part.b[1:]:
-            emit(cx(i, q))
-        emit(cx(anchor, i))
-        emit(h(i))
-        emit(cx(i, anchor))
+        gates += [cx(i, q) for q in part.b[1:]]
+        gates += [cx(anchor, i), h(i), cx(i, anchor)]
     rest = part.a[1:]
     for p, q in zip(rest[0::2], rest[1::2]):
-        emit(cx(q, p))
-        emit(cx(p, anchor))
-        emit(cx(anchor, q))
+        gates += [cx(q, p), cx(p, anchor), cx(anchor, q)]
 
-    signs = (o.sign(), o2.sign())
-    if signs == (-1, 1):
-        emit(z(anchor))
-    elif signs == (1, -1):
-        emit(x(anchor))
-    elif signs == (-1, -1):
-        emit(y(anchor))
-
+    # The pair as a two-row tableau on its support: bit 0 is o, bit 1 o2.
+    px, pz = {}, {}
+    for q in part.a + part.b + part.c + part.d:
+        px[q] = (o.x_bits >> q) & 1 | ((o2.x_bits >> q) & 1) << 1
+        pz[q] = (o.z_bits >> q) & 1 | ((o2.z_bits >> q) & 1) << 1
+    e0 = o.phase_exp & 1 | (o2.phase_exp & 1) << 1
+    e1 = o.phase_exp >> 1 | (o2.phase_exp >> 1) << 1
+    for gate in gates:
+        e0, e1 = conjugate_columns(gate, px, pz, e0, e1)
+    if e0 or px[anchor] != 0b01 or pz[anchor] != 0b10:
+        raise AssertionError("the pair did not reduce to (X, Z) on its anchor")
+    # e1 holds the pair's signs: -X fixed by Z, -Z by X, both by Y.
+    if e1:
+        gates.append((z, x, y)[e1 - 1](anchor))
     if anchor != target:
-        emit(swap(target, anchor))
+        gates.append(swap(target, anchor))
     return gates
 
 

@@ -149,11 +149,9 @@ def greedy_unidirectional(
         if rng is not None:
             p = ordered[rng.randrange(len(ordered))]
         else:
+            rows = work.rows_bits()
             p = min(
-                ordered,
-                key=lambda q: pair_cost_bits(
-                    *work.row_bits(q), *work.row_bits(n + q)
-                ),
+                ordered, key=lambda q: pair_cost_bits(*rows[q], *rows[n + q])
             )
         d_gates = clean_pair_gates(work.row(p), work.row(n + p), target=p)
         work = work.apply_circuit(Circuit(n, tuple(d_gates)))
@@ -200,10 +198,10 @@ def greedy_bidirectional(
     keep = 1 if rng is None else _POOL
     while act:
         ordered = sorted(act)
+        rows = work.rows_bits()
         contrib: dict[tuple[int, str], tuple[int, int]] = {}
         for q in ordered:
-            xq = work.row_bits(q)
-            zq = work.row_bits(n + q)
+            xq, zq = rows[q], rows[n + q]
             contrib[(q, "X")] = xq
             contrib[(q, "Z")] = zq
             contrib[(q, "Y")] = (xq[0] ^ zq[0], xq[1] ^ zq[1])

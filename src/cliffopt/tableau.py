@@ -12,15 +12,17 @@ when all 2n rows agree including signs.
 
 Two primitives act on this layout: row read and write (``row_bits``,
 ``row``, ``_set_row``, ``conjugate``) and left application of a gate
-(``pauli.conjugate_columns``). The rest is derived. Row r of U.C is
-U (C P_r C^-1) U^-1, where C P_r C^-1 is a row of the circuit's own
-tableau; ``then`` and ``inverse`` write a tableau as a circuit by
+(``pauli.conjugate_columns``). Row read has a bulk form, ``rows_bits``,
+one bit-matrix transpose of the columns. The rest is derived. Row r of
+U.C is U (C P_r C^-1) U^-1, where C P_r C^-1 is a row of the circuit's
+own tableau; ``then`` and ``inverse`` write a tableau as a circuit by
 ``ag_canonical``'s elimination (Aaronson-Gottesman), then apply or
 invert that circuit.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 
@@ -81,18 +83,38 @@ class CliffordTableau:
 
     def row_bits(self, r: int) -> tuple[int, int]:
         """(x_bits, z_bits) of row r as qubit-indexed integers."""
+        if not 0 <= r < 2 * self.n:
+            raise ValueError(f"row {r} out of range")
         x = z = 0
         for q in range(self.n):
             x |= ((self._x[q] >> r) & 1) << q
             z |= ((self._z[q] >> r) & 1) << q
         return x, z
 
+    def rows_bits(self) -> list[tuple[int, int]]:
+        """``row_bits(r)`` of every row r by one bit-matrix transpose: the
+        columns ``_x`` then ``_z`` are lines 0..2n-1 of a size x size bit
+        matrix, and line r of the transpose holds row r's x then z bits."""
+        n = self.n
+        size = max(8, 1 << (2 * n - 1).bit_length())
+        w = size // 8
+        cols = b"".join(c.to_bytes(w, "little") for c in self._x + self._z)
+        m = int.from_bytes(cols, "little")
+        for shift, mask in _transpose_steps(size):
+            t = ((m >> shift) ^ m) & mask
+            m ^= t ^ (t << shift)
+        raw = m.to_bytes(size * w, "little")
+        low = (1 << n) - 1
+        out = []
+        for r in range(0, 2 * n * w, w):
+            v = int.from_bytes(raw[r:r + w], "little")
+            out.append((v & low, v >> n))
+        return out
+
     def row_phase(self, r: int) -> int:
         return ((self._e0 >> r) & 1) + 2 * ((self._e1 >> r) & 1)
 
     def row(self, r: int) -> PauliOperator:
-        if not 0 <= r < 2 * self.n:
-            raise ValueError(f"row {r} out of range")
         x, z = self.row_bits(r)
         return PauliOperator(self.n, x, z, self.row_phase(r))
 
@@ -178,6 +200,19 @@ class CliffordTableau:
     def __repr__(self) -> str:
         rows = ", ".join(self.row(r).to_label() for r in range(2 * self.n))
         return f"CliffordTableau({self.n}: {rows})"
+
+
+@functools.cache
+def _transpose_steps(size: int) -> tuple[tuple[int, int], ...]:
+    """Delta swaps (shift, mask) transposing a size x size bit matrix with
+    entry (i, k) at bit i * size + k. For each block width j, entry
+    (i, k) with i & j clear and k & j set trades with (i + j, k - j)."""
+    steps = []
+    for j in (size >> s for s in range(1, size.bit_length())):
+        line = sum(1 << k for k in range(size) if k & j)
+        mask = sum(line << (i * size) for i in range(size) if not i & j)
+        steps.append((j * (size - 1), mask))
+    return tuple(steps)
 
 
 def circuit_to_tableau(circuit: Circuit) -> CliffordTableau:

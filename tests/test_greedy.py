@@ -140,3 +140,24 @@ def test_wide_outputs_match_recorded_digest():
     assert digest.hexdigest() == (
         "5156bf108b134014fa5bc736e5f33f4e19b52b999ea6b2743f9b28c351286894"
     )
+
+
+def test_unidirectional_wide_outputs_match_recorded_digest():
+    # Recorded before the unidirectional driver read its rows in bulk and
+    # the stage partition carried its Pauli layer as columns. These widths
+    # cross the 64-row transpose size, which n <= 8 never reaches.
+    digest = hashlib.sha256()
+    for n in (24, 33, 40):
+        for seed in (1, 2):
+            t = random_clifford(n, seed)
+            for c in (
+                greedy_unidirectional(t),
+                greedy_unidirectional(t, rng=random.Random(seed)),
+            ):
+                p = partition_stages(c)
+                digest.update(c.to_text().encode())
+                digest.update(f"{p.permutation} {p.pauli}\n".encode())
+                digest.update(merge_swaps(p).to_text().encode())
+    assert digest.hexdigest() == (
+        "3e4779b4446b1106700eae6e6317f693bd3251e5afff645879b5731ddd3a80ed"
+    )

@@ -76,8 +76,11 @@ def test_merge_outputs_match_recorded_digest():
         ((1, 2), 2, "permutation"),
         ((0,), 2, "permutation"),
         ((1, 0), 3, "pauli"),
+        ((1.0, 0.0), 2, "permutation"),
+        ((1, 0), 2, "compute"),
     ],
 )
 def test_malformed_partition_is_rejected(perm, pauli_n, field):
+    compute = "qubits 2" if field == "compute" else Circuit(2)
     with pytest.raises(ValueError, match=field):
-        StagePartition(Circuit(2), perm, PauliOperator.identity(pauli_n))
+        StagePartition(compute, perm, PauliOperator.identity(pauli_n))

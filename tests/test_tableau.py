@@ -165,6 +165,25 @@ def test_inverse():
             CliffordTableau(len(x), x, z).inverse()
 
 
+def test_rows_bits_match_row_bits():
+    # The widths cross the transpose sizes 8, 64, 128 and 256.
+    rng = random.Random(41)
+    for n in (1, 2, 4, 5, 31, 32, 33, 64, 65):
+        for t in (
+            random_clifford(n, seed=n),
+            circuit_to_tableau(random_circuit(rng, n, 4 * n)),
+        ):
+            assert t.rows_bits() == [t.row_bits(r) for r in range(2 * n)]
+
+
+def test_row_out_of_range_is_rejected():
+    t = random_clifford(3, seed=1)
+    for r in (6, 99, -1):
+        for read in (t.row_bits, t.row):
+            with pytest.raises(ValueError, match=f"row {r} out of range"):
+                read(r)
+
+
 def test_rows_are_hermitian():
     rng = random.Random(23)
     for _ in range(20):
