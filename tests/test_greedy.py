@@ -145,7 +145,7 @@ def test_wide_outputs_match_recorded_digest():
 def test_unidirectional_wide_outputs_match_recorded_digest():
     # Recorded before the unidirectional driver read its rows in bulk and
     # the stage partition carried its Pauli layer as columns. These widths
-    # cross the 64-row transpose size, which n <= 8 never reaches.
+    # use transpose sizes 64 and 128; n <= 8 never goes above 16.
     digest = hashlib.sha256()
     for n in (24, 33, 40):
         for seed in (1, 2):
