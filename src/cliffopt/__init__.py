@@ -16,13 +16,7 @@ from .circuit import (
 )
 from .pauli import PauliOperator, anticommute, conjugate_pauli
 from .synth.canonical import ag_canonical
-from .synth.disentangle import (
-    DisentangleResult,
-    StandardFormPartition,
-    disentangle_cost,
-    disentangler,
-    standard_form,
-)
+from .synth.disentangle import disentangle_cost, disentangler
 from .synth.greedy import greedy_bidirectional, greedy_unidirectional
 from .tableau import (
     CliffordTableau,
@@ -33,10 +27,8 @@ from .tableau import (
 __all__ = [
     "Circuit",
     "CliffordTableau",
-    "DisentangleResult",
     "Gate",
     "PauliOperator",
-    "StandardFormPartition",
     "TWO_QUBIT_WEIGHT",
     "ag_canonical",
     "anticommute",
@@ -52,7 +44,6 @@ __all__ = [
     "random_clifford",
     "s",
     "sdg",
-    "standard_form",
     "swap",
     "x",
     "y",

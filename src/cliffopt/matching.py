@@ -324,14 +324,3 @@ def match_and_apply(
             dirty[max(0, i - _WINDOW + 1):i] = [True] * min(i, _WINDOW - 1)
     return Circuit(c.n, tuple(gates))
 
-
-def reduce_single_qubit(c: Circuit) -> Circuit:
-    """Template pass restricted to single-qubit rewrites."""
-    singles = tuple(
-        t for t in builtin_templates()
-        if all(g.kind not in TWO_QUBIT_WEIGHT for g in t.gates)
-    )
-    out = match_and_apply(c, singles)
-    if out.two_qubit_count != c.two_qubit_count:
-        raise AssertionError("single-qubit pass changed two-qubit weight")
-    return out

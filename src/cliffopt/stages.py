@@ -46,6 +46,8 @@ class StagePartition:
                 f"permutation {self.permutation} does not permute range({n})"
             )
         object.__setattr__(self, "permutation", perm)
+        if not isinstance(self.pauli, PauliOperator):
+            raise ValueError(f"pauli {self.pauli!r} is not a PauliOperator")
         if self.pauli.n != n:
             raise ValueError(f"pauli has {self.pauli.n} qubit(s), compute {n}")
 

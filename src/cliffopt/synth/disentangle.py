@@ -1,14 +1,14 @@
 """Reduce an anticommuting Pauli pair to (X_t, Z_t) with CX-optimal cost.
 
-Given Hermitian anticommuting operators (O, O'), a single-qubit layer
-first standardizes the action on every supported qubit, which splits the
-support into classes:
+``clean_pair_gates`` does the whole reduction. Given Hermitian
+anticommuting operators (O, O'), it first puts the pair in standard
+form: a single-qubit layer standardizes the action on every supported
+qubit, which splits the support into classes:
 
   A: both act, with different letters  -> (X, Z)
   B: both act, with the same letter    -> (X, X)
   C: only O acts                       -> (X, I)
   D: only O' acts                      -> (I, Z)
-  E: neither acts
 
 Anticommutation forces |A| to be odd, so an anchor a = min(A) exists.
 A CX network then folds classes C, D, B and the remaining A pairs onto
@@ -18,14 +18,12 @@ and a SWAP moves the anchor to the target qubit. The CX count is exactly
 
   |C| + |D| + (|B| + 1 if B else 0) + 3(|A| - 1)/2.
 
-The returned circuit is the inverse of that cleaning sequence: it maps
-(X_t, Z_t) back to (O, O') under conjugation, and any SWAP it contains
-is its leading gate.
+``disentangler`` returns the inverse of that cleaning sequence as a
+``Circuit``: it maps (X_0, Z_0) back to (O, O') under conjugation, and
+any SWAP it contains is its leading gate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..circuit import Circuit, Gate, cx, h, swap, x, y, z
 from ..pauli import PauliOperator, anticommute, conjugate_columns
@@ -48,26 +46,6 @@ _LOCAL_WORDS: dict[tuple[str, str], tuple[str, ...]] = {
     ("I", "X"): ("h",),
     ("I", "Y"): ("s", "h"),
 }
-
-
-@dataclass(frozen=True)
-class StandardFormPartition:
-    """Single-qubit layer plus the induced support classes."""
-
-    local_layer: Circuit
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-    d: tuple[int, ...]
-    e: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DisentangleResult:
-    """Circuit mapping (X_t, Z_t) to a Pauli pair, with its CX cost."""
-
-    circuit: Circuit
-    cnot_cost: int
 
 
 def _class_masks(
@@ -120,27 +98,6 @@ def _check_pair(o: PauliOperator, o2: PauliOperator) -> None:
         )
 
 
-def standard_form(o: PauliOperator, o2: PauliOperator) -> StandardFormPartition:
-    """Single-qubit layer standardizing the pair, and the class split."""
-    _check_pair(o, o2)
-    a, b, c, d = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
-    support = a | b | c | d
-    e = tuple(q for q in range(o.n) if not (support >> q) & 1)
-    local_layer = tuple(
-        Gate(kind, (q,))
-        for q in _bits(support)
-        for kind in _LOCAL_WORDS[(o.axis(q), o2.axis(q))]
-    )
-    return StandardFormPartition(
-        local_layer=Circuit(o.n, local_layer),
-        a=tuple(_bits(a)),
-        b=tuple(_bits(b)),
-        c=tuple(_bits(c)),
-        d=tuple(_bits(d)),
-        e=e,
-    )
-
-
 def clean_pair_gates(
     o: PauliOperator, o2: PauliOperator, target: int
 ) -> list[Gate]:
@@ -149,24 +106,32 @@ def clean_pair_gates(
     The anchor a = min(A) is reduced first; when it is not the target, a
     trailing SWAP moves it there. The CX count is ``pair_cost_bits``.
     """
-    part = standard_form(o, o2)
+    _check_pair(o, o2)
     if not 0 <= target < o.n:
         raise ValueError(f"target {target} out of range")
-    anchor = part.a[0]
-    gates = list(part.local_layer.gates)
-    gates += [cx(anchor, q) for q in part.c]
-    gates += [cx(q, anchor) for q in part.d]
-    if part.b:
-        i = part.b[0]
-        gates += [cx(i, q) for q in part.b[1:]]
+    masks = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
+    a, b, c, d = map(_bits, masks)
+    support = sorted(a + b + c + d)
+    anchor = a[0]
+    # The standard form: one local word per supported qubit.
+    gates = [
+        Gate(kind, (q,))
+        for q in support
+        for kind in _LOCAL_WORDS[(o.axis(q), o2.axis(q))]
+    ]
+    gates += [cx(anchor, q) for q in c]
+    gates += [cx(q, anchor) for q in d]
+    if b:
+        i = b[0]
+        gates += [cx(i, q) for q in b[1:]]
         gates += [cx(anchor, i), h(i), cx(i, anchor)]
-    rest = part.a[1:]
+    rest = a[1:]
     for p, q in zip(rest[0::2], rest[1::2]):
         gates += [cx(q, p), cx(p, anchor), cx(anchor, q)]
 
     # The pair as a two-row tableau on its support: bit 0 is o, bit 1 o2.
     px, pz = {}, {}
-    for q in part.a + part.b + part.c + part.d:
+    for q in support:
         px[q] = (o.x_bits >> q) & 1 | ((o2.x_bits >> q) & 1) << 1
         pz[q] = (o.z_bits >> q) & 1 | ((o2.z_bits >> q) & 1) << 1
     e0 = o.phase_exp & 1 | (o2.phase_exp & 1) << 1
@@ -183,12 +148,10 @@ def clean_pair_gates(
     return gates
 
 
-def disentangler(o: PauliOperator, o2: PauliOperator) -> DisentangleResult:
+def disentangler(o: PauliOperator, o2: PauliOperator) -> Circuit:
     """Circuit L with L X_0 L^-1 = o and L Z_0 L^-1 = o2, sign exact."""
     gates = clean_pair_gates(o, o2, target=0)
-    circuit = Circuit(o.n, tuple(g.inverse() for g in reversed(gates)))
-    cost = pair_cost_bits(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
-    return DisentangleResult(circuit=circuit, cnot_cost=cost)
+    return Circuit(o.n, tuple(g.inverse() for g in reversed(gates)))
 
 
 def disentangle_cost(o: PauliOperator, o2: PauliOperator) -> int:

@@ -132,29 +132,23 @@ def _pauli_from_support(n: int, sup: Support) -> PauliOperator:
     return PauliOperator(n, xb, zb, (xb & zb).bit_count() % 4)
 
 
-def greedy_unidirectional(
-    t: CliffordTableau, rng: random.Random | None = None
-) -> Circuit:
+def greedy_unidirectional(t: CliffordTableau) -> Circuit:
     """Synthesize a circuit for t, emitting gates on the output side only.
 
-    Deterministic without an rng (cheapest active qubit first, lowest
-    index on ties); with an rng the qubit order is drawn uniformly.
+    Each step reduces the cheapest active qubit, the lowest index on ties.
     """
     n = t.n
     work = t.copy()
     act = set(range(n))
     parts: list[list[Gate]] = []
     while act:
-        ordered = sorted(act)
-        if rng is not None:
-            p = ordered[rng.randrange(len(ordered))]
-        else:
-            rows = work.rows_bits()
-            p = min(
-                ordered, key=lambda q: pair_cost_bits(*rows[q], *rows[n + q])
-            )
+        rows = work.rows_bits()
+        p = min(
+            sorted(act), key=lambda q: pair_cost_bits(*rows[q], *rows[n + q])
+        )
         d_gates = clean_pair_gates(work.row(p), work.row(n + p), target=p)
-        work = work.apply_circuit(Circuit(n, tuple(d_gates)))
+        for g in d_gates:
+            work._apply_inplace(g)
         parts.append([g.inverse() for g in reversed(d_gates)])
         act.remove(p)
     if not work.is_identity():
@@ -288,7 +282,8 @@ def greedy_bidirectional(
         if dl_gates and dl_gates[-1].kind == "swap":
             raise AssertionError("left reduction should land on its anchor")
         dr_gates = clean_pair_gates(p, p2, target=j)
-        work = work.apply_circuit(Circuit(n, tuple(dl_gates)))
+        for g in dl_gates:
+            work._apply_inplace(g)
         work = work.right_apply_circuit(Circuit(n, tuple(dr_gates)).inverse())
         left_parts.append([g.inverse() for g in reversed(dl_gates)])
         right_parts.append(dr_gates)

@@ -81,10 +81,13 @@ class CliffordTableau:
     # ------------------------------------------------------------------
     # Row access
 
-    def row_bits(self, r: int) -> tuple[int, int]:
-        """(x_bits, z_bits) of row r as qubit-indexed integers."""
+    def _check_row(self, r: int) -> None:
         if not 0 <= r < 2 * self.n:
             raise ValueError(f"row {r} out of range")
+
+    def row_bits(self, r: int) -> tuple[int, int]:
+        """(x_bits, z_bits) of row r as qubit-indexed integers."""
+        self._check_row(r)
         x = z = 0
         for q in range(self.n):
             x |= ((self._x[q] >> r) & 1) << q
@@ -112,6 +115,7 @@ class CliffordTableau:
         return out
 
     def row_phase(self, r: int) -> int:
+        self._check_row(r)
         return ((self._e0 >> r) & 1) + 2 * ((self._e1 >> r) & 1)
 
     def row(self, r: int) -> PauliOperator:

@@ -24,13 +24,6 @@ def test_unidirectional_exact():
             assert circuit_to_tableau(c) == t
 
 
-def test_unidirectional_randomized_exact():
-    for seed in range(10):
-        t = random_clifford(6, seed + 100)
-        c = greedy_unidirectional(t, rng=random.Random(seed))
-        assert circuit_to_tableau(c) == t
-
-
 def test_bidirectional_exact():
     for n in (1, 2, 3, 5, 8):
         for seed in range(8):
@@ -88,6 +81,20 @@ def test_bidirectional_tracks_unidirectional_sample():
     assert statistics.mean(bi) <= statistics.mean(uni) + 0.5
 
 
+def test_synthesis_leaves_input_unchanged():
+    # The drivers reduce a private copy in place; the caller's tableau
+    # must not move.
+    for n in (1, 5, 12):
+        for seed in range(2):
+            t = random_clifford(n, seed)
+            before = t.copy()
+            greedy_unidirectional(t)
+            greedy_bidirectional(t)
+            greedy_bidirectional(t, rng=random.Random(seed))
+            ag_canonical(t)
+            assert t == before
+
+
 def test_ag_canonical_exact():
     for n in (1, 2, 3, 4, 6):
         for seed in range(6):
@@ -103,14 +110,15 @@ def test_ag_canonical_deterministic():
 
 def test_outputs_match_recorded_digest():
     # Recorded before the tableau, pair-class and stage helpers were
-    # merged into one implementation each; outputs must not move.
+    # merged into one implementation each, and again without the
+    # randomized unidirectional run when its rng was removed; outputs
+    # must not move.
     digest = hashlib.sha256()
     for n in range(2, 9):
         for seed in range(2):
             t = random_clifford(n, seed)
             for c in (
                 greedy_unidirectional(t),
-                greedy_unidirectional(t, rng=random.Random(seed)),
                 greedy_bidirectional(t),
                 greedy_bidirectional(t, rng=random.Random(seed)),
                 ag_canonical(t),
@@ -120,7 +128,7 @@ def test_outputs_match_recorded_digest():
                 digest.update(f"{p.permutation} {p.pauli}\n".encode())
                 digest.update(merge_swaps(p).to_text().encode())
     assert digest.hexdigest() == (
-        "639963d76e92853f6f3cb8bb41038148a96051ebad4b9a68840910be564cfc4f"
+        "c84e0f03bb829652f62847aca4866fb515a0cfcb82b8d0348159e3cc3c3f2aea"
     )
 
 
@@ -144,20 +152,17 @@ def test_wide_outputs_match_recorded_digest():
 
 def test_unidirectional_wide_outputs_match_recorded_digest():
     # Recorded before the unidirectional driver read its rows in bulk and
-    # the stage partition carried its Pauli layer as columns. These widths
+    # the stage partition carried its Pauli layer as columns, and again
+    # without the randomized run when its rng was removed. These widths
     # use transpose sizes 64 and 128; n <= 8 never goes above 16.
     digest = hashlib.sha256()
     for n in (24, 33, 40):
         for seed in (1, 2):
-            t = random_clifford(n, seed)
-            for c in (
-                greedy_unidirectional(t),
-                greedy_unidirectional(t, rng=random.Random(seed)),
-            ):
-                p = partition_stages(c)
-                digest.update(c.to_text().encode())
-                digest.update(f"{p.permutation} {p.pauli}\n".encode())
-                digest.update(merge_swaps(p).to_text().encode())
+            c = greedy_unidirectional(random_clifford(n, seed))
+            p = partition_stages(c)
+            digest.update(c.to_text().encode())
+            digest.update(f"{p.permutation} {p.pauli}\n".encode())
+            digest.update(merge_swaps(p).to_text().encode())
     assert digest.hexdigest() == (
-        "3e4779b4446b1106700eae6e6317f693bd3251e5afff645879b5731ddd3a80ed"
+        "597de2ea511b4b33b502a5d337d87bb58429d5a21dc832567a12ab25ee89ae1b"
     )

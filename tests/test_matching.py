@@ -19,7 +19,7 @@ from cliffopt import (
     y,
     z,
 )
-from cliffopt.matching import match_and_apply, reduce_single_qubit
+from cliffopt.matching import match_and_apply
 from cliffopt.templates import (
     Template,
     builtin_templates,
@@ -215,10 +215,3 @@ def test_past_deadline_returns_input_unchanged():
     assert match_and_apply(c).gates == ()
     assert match_and_apply(c, deadline=time.monotonic() - 1.0) == c
 
-
-def test_reduce_single_qubit():
-    c = Circuit(2, (h(0), h(0), cz(0, 1), s(0), h(0), s(0), h(0), s(0), h(0)))
-    out = reduce_single_qubit(c)
-    assert out.two_qubit_count == c.two_qubit_count
-    assert len(out) < len(c)
-    assert circuit_to_tableau(out) == circuit_to_tableau(c)

@@ -1,4 +1,5 @@
-"""Package hygiene: declared dependencies match imports, and every definition is used."""
+"""Package hygiene: declared dependencies match imports, the public surface
+is pinned, and every definition is used."""
 
 import ast
 import re
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import cliffopt
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +32,36 @@ def test_dependencies_match_imports():
         for spec in project["dependencies"]
     }
     assert declared == _third_party_imports()
+
+
+def test_public_surface_is_pinned():
+    # Growing or shrinking the surface is a deliberate edit of this list.
+    assert cliffopt.__all__ == [
+        "Circuit",
+        "CliffordTableau",
+        "Gate",
+        "PauliOperator",
+        "TWO_QUBIT_WEIGHT",
+        "ag_canonical",
+        "anticommute",
+        "circuit_to_tableau",
+        "conjugate_pauli",
+        "cx",
+        "cz",
+        "disentangle_cost",
+        "disentangler",
+        "greedy_bidirectional",
+        "greedy_unidirectional",
+        "h",
+        "random_clifford",
+        "s",
+        "sdg",
+        "swap",
+        "x",
+        "y",
+        "z",
+    ]
+    assert all(hasattr(cliffopt, name) for name in cliffopt.__all__)
 
 
 def _definitions(tree: ast.Module) -> set[str]:

@@ -78,9 +78,11 @@ def test_merge_outputs_match_recorded_digest():
         ((1, 0), 3, "pauli"),
         ((1.0, 0.0), 2, "permutation"),
         ((1, 0), 2, "compute"),
+        ((1, 0), None, "pauli"),
     ],
 )
 def test_malformed_partition_is_rejected(perm, pauli_n, field):
     compute = "qubits 2" if field == "compute" else Circuit(2)
+    pauli = "XX" if pauli_n is None else PauliOperator.identity(pauli_n)
     with pytest.raises(ValueError, match=field):
-        StagePartition(compute, perm, PauliOperator.identity(pauli_n))
+        StagePartition(compute, perm, pauli)

@@ -179,7 +179,7 @@ def test_rows_bits_match_row_bits():
 def test_row_out_of_range_is_rejected():
     t = random_clifford(3, seed=1)
     for r in (6, 99, -1):
-        for read in (t.row_bits, t.row):
+        for read in (t.row_bits, t.row_phase, t.row):
             with pytest.raises(ValueError, match=f"row {r} out of range"):
                 read(r)
 
