@@ -32,17 +32,8 @@ PAULI_KINDS = frozenset({"x", "y", "z"})
 # its three-CX expansion.
 TWO_QUBIT_WEIGHT: dict[str, int] = {"cx": 1, "cz": 1, "swap": 3}
 
-_INVERSE_KIND: dict[str, str] = {
-    "h": "h",
-    "s": "sdg",
-    "sdg": "s",
-    "x": "x",
-    "y": "y",
-    "z": "z",
-    "cx": "cx",
-    "cz": "cz",
-    "swap": "swap",
-}
+# S and S-dagger invert each other; every other kind is its own inverse.
+_INVERSE_KIND: dict[str, str] = {"s": "sdg", "sdg": "s"}
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,8 @@ class Gate:
         object.__setattr__(self, "qubits", tuple(qubits))
 
     def inverse(self) -> "Gate":
-        return Gate(_INVERSE_KIND[self.kind], self.qubits)
+        kind = _INVERSE_KIND.get(self.kind)
+        return self if kind is None else Gate(kind, self.qubits)
 
     def relabeled(self, mapping) -> "Gate":
         """Return the gate with each qubit ``q`` replaced by ``mapping[q]``."""

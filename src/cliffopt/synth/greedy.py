@@ -8,6 +8,10 @@ one side only. The bidirectional driver scans low-weight pairs (P, P')
 of inputs, compares the cost of reducing (P, P') against the cost of
 reducing their images (O, O') = (U P U^-1, U P' U^-1), and emits gates
 on both sides at once, which empirically lowers the CX count.
+
+The scan names a letter by its code, 0-3 for I, X, Y and Z, and a Pauli
+on two qubits (a, b) by its grid index 4 la + lb: letter la on a and lb
+on b. A qubit pair's grid holds the image of all 16 such Paulis.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 
 from ..circuit import Circuit, Gate
 from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits
@@ -25,111 +29,80 @@ from .disentangle import _class_masks, clean_pair_gates, pair_cost_bits
 # With an rng, the bidirectional scan draws from this many cheapest candidates.
 _POOL = 4
 
-# Ordered anticommuting letter pairs on one slot; they need no CX. (X, Z)
-# leads so that cost ties resolve to the pair needing no local gates.
-_SINGLE_PATTERNS = tuple(
-    (((0, l1),), ((0, l2),), 0)
-    for l1, l2 in (
-        ("X", "Z"), ("X", "Y"), ("Y", "X"), ("Y", "Z"), ("Z", "X"), ("Z", "Y")
-    )
+_LETTERS = "IXYZ"
+
+
+def _pauli(n: int, qubits: tuple, f: int) -> PauliOperator:
+    """The Pauli with grid index f on qubits: letter f // 4 on qubits[0]
+    and f % 4 on qubits[1]."""
+    xb = zb = 0
+    for q, code in zip(qubits, divmod(f, 4)):
+        if code:
+            xv, zv = _AXIS_BITS[_LETTERS[code]]
+            xb |= xv << q
+            zb |= zv << q
+    return PauliOperator(n, xb, zb, (xb & zb).bit_count() % 4)
+
+
+def _patterns(pairs, partner: int = 1) -> tuple[tuple[int, int, int], ...]:
+    """(f1, f2, CX cost of reducing the pair) for each anticommuting pair
+    of grid indices, f1 placed on slots (0, 1) and f2 on (0, partner)."""
+    out = []
+    for f1, f2 in pairs:
+        p, p2 = _pauli(3, (0, 1), f1), _pauli(3, (0, partner), f2)
+        bits = (p.x_bits, p.z_bits, p2.x_bits, p2.z_bits)
+        if anticommute_bits(*bits):
+            out.append((f1, f2, pair_cost_bits(*bits)))
+    return tuple(out)
+
+
+# Ordered anticommuting letter pairs on one qubit, slot 1 on I; they need
+# no CX. (X, Z) leads so that cost ties resolve to the pair needing no
+# local gates.
+_SINGLES = _patterns(
+    (4 * _LETTERS.index(l1), 4 * _LETTERS.index(l2))
+    for l1, l2 in ("XZ", "XY", "YX", "YZ", "ZX", "ZY")
+)
+# Ordered anticommuting pairs on two qubits, each qubit touched.
+_PAIRS = _patterns(
+    (f1, f2)
+    for f1 in range(1, 16)
+    for f2 in range(1, 16)
+    if (f1 | f2) & 3 and (f1 | f2) >> 2
+)
+# Weight-2 pairs sharing qubit q0, letters ls and ms there: the prefix
+# 4 ls + lx lies on (q0, q1) and the partner 4 ms + my on (q0, q2).
+_TRIPLES = _patterns(
+    (
+        (4 * ls + lx, 4 * ms + my)
+        for ls in (1, 2, 3)
+        for ms in (1, 2, 3)
+        if ls != ms
+        for lx in (1, 2, 3)
+        for my in (1, 2, 3)
+    ),
+    partner=2,
 )
 
-Support = tuple[tuple[int, str], ...]
+# Letter images of a slot that names no qubit: a single's slot 1.
+_UNTOUCHED = ((0, 0),) * 4
 
 
-def _support_bits(ops: Support) -> tuple[int, int]:
-    xb = zb = 0
-    for slot, letter in ops:
-        xv, zv = _AXIS_BITS[letter]
-        xb |= xv << slot
-        zb |= zv << slot
-    return xb, zb
+def _letters(xq: tuple[int, int], zq: tuple[int, int]) -> tuple:
+    """(x bits, z bits) of the images of I, X, Y and Z on a qubit whose X
+    and Z images are xq and zq."""
+    return ((0, 0), xq, (xq[0] ^ zq[0], xq[1] ^ zq[1]), zq)
 
 
-def _build_pair_patterns() -> tuple[tuple[Support, Support, int], ...]:
-    """Ordered anticommuting pairs on two slots, each slot touched."""
-    singles: list[Support] = []
-    letters = (None, "X", "Y", "Z")
-    for la in letters:
-        for lb in letters:
-            ops = tuple(
-                (slot, l) for slot, l in ((0, la), (1, lb)) if l is not None
-            )
-            if ops:
-                singles.append(ops)
+def _grid(ia: tuple, ib: tuple) -> list[tuple[int, int, int]]:
+    """(x bits, z bits, their union) of the image of every Pauli on two
+    qubits with letter images ia and ib, at its grid index."""
     out = []
-    for ops1 in singles:
-        x1, z1 = _support_bits(ops1)
-        for ops2 in singles:
-            x2, z2 = _support_bits(ops2)
-            if not anticommute_bits(x1, z1, x2, z2):
-                continue
-            if (x1 | z1 | x2 | z2) != 3:
-                continue
-            out.append((ops1, ops2, pair_cost_bits(x1, z1, x2, z2)))
-    return tuple(out)
-
-
-def _build_triple_patterns() -> tuple[tuple[Support, Support, int], ...]:
-    """Weight-2 pairs sharing slot 0, partners on slots 1 and 2."""
-    out = []
-    for ls in "XYZ":
-        for ms in "XYZ":
-            if ls == ms:
-                continue
-            for lx in "XYZ":
-                for my in "XYZ":
-                    ops1: Support = ((0, ls), (1, lx))
-                    ops2: Support = ((0, ms), (2, my))
-                    x1, z1 = _support_bits(ops1)
-                    x2, z2 = _support_bits(ops2)
-                    out.append((ops1, ops2, pair_cost_bits(x1, z1, x2, z2)))
-    return tuple(out)
-
-
-_PAIR_PATTERNS = _build_pair_patterns()
-_TRIPLE_PATTERNS = _build_triple_patterns()
-
-
-def _by_support(patterns):
-    """A pattern table's distinct first and second supports, and each
-    pattern as (index of its first support, index of its second, cost,
-    first support, second support)."""
-    firsts = list(dict.fromkeys(ops1 for ops1, _, _ in patterns))
-    seconds = list(dict.fromkeys(ops2 for _, ops2, _ in patterns))
-    indexed = tuple(
-        (firsts.index(ops1), seconds.index(ops2), pcost, ops1, ops2)
-        for ops1, ops2, pcost in patterns
-    )
-    return tuple(firsts), tuple(seconds), indexed
-
-
-_SINGLES = _by_support(_SINGLE_PATTERNS)
-_PAIRS = _by_support(_PAIR_PATTERNS)
-_TRIPLES = _by_support(_TRIPLE_PATTERNS)
-
-
-def _images(
-    contrib: dict[tuple[int, str], tuple[int, int]],
-    qubits: tuple[int | None, ...],
-    supports: tuple[Support, ...],
-) -> list[tuple[int, int, int]]:
-    """(x bits, z bits, their union) of the image of each support placed
-    on qubits, slot s naming qubits[s]."""
-    out = []
-    for ops in supports:
-        ox = oz = 0
-        for slot, letter in ops:
-            cb = contrib[(qubits[slot], letter)]
-            ox ^= cb[0]
-            oz ^= cb[1]
-        out.append((ox, oz, ox | oz))
+    for xa, za in ia:
+        for xb, zb in ib:
+            x, z = xa ^ xb, za ^ zb
+            out.append((x, z, x | z))
     return out
-
-
-def _pauli_from_support(n: int, sup: Support) -> PauliOperator:
-    xb, zb = _support_bits(sup)
-    return PauliOperator(n, xb, zb, (xb & zb).bit_count() % 4)
 
 
 def greedy_unidirectional(t: CliffordTableau) -> Circuit:
@@ -146,7 +119,11 @@ def greedy_unidirectional(t: CliffordTableau) -> Circuit:
         p = min(
             sorted(act), key=lambda q: pair_cost_bits(*rows[q], *rows[n + q])
         )
-        d_gates = clean_pair_gates(work.row(p), work.row(n + p), target=p)
+        d_gates = clean_pair_gates(
+            PauliOperator(n, *rows[p], work.row_phase(p)),
+            PauliOperator(n, *rows[n + p], work.row_phase(n + p)),
+            target=p,
+        )
         for g in d_gates:
             work._apply_inplace(g)
         parts.append([g.inverse() for g in reversed(d_gates)])
@@ -168,6 +145,13 @@ def greedy_bidirectional(
     cheapest candidate; with one it draws uniformly from the four
     cheapest. The left reduction lands on the anchor of the images, so
     it needs no SWAP; the right one may end with a SWAP onto it.
+
+    A candidate is a pattern (f1, f2, cost of reducing (P, P')) placed on
+    qubits. Singles put P and P' on one qubit q, at grid indices 4 l of
+    (q, no qubit); pairs put both on a qubit pair (a, b). A triple
+    (q0, q1, q2) puts P at index f1 of the grid of (q0, q1) and P' at
+    index f2 of the grid of (q0, q2), so each step builds one grid per
+    ordered pair (q0, q) and reads it for prefixes and partners alike.
 
     The scan skips candidates that provably cannot be kept, so it keeps
     exactly what a full scan would. The images (O, O') of an
@@ -193,87 +177,74 @@ def greedy_bidirectional(
     while act:
         ordered = sorted(act)
         rows = work.rows_bits()
-        contrib: dict[tuple[int, str], tuple[int, int]] = {}
-        for q in ordered:
-            xq, zq = rows[q], rows[n + q]
-            contrib[(q, "X")] = xq
-            contrib[(q, "Z")] = zq
-            contrib[(q, "Y")] = (xq[0] ^ zq[0], xq[1] ^ zq[1])
+        letters = {q: _letters(rows[q], rows[n + q]) for q in ordered}
+        letters[None] = _UNTOUCHED
 
-        best: list[tuple[int, int, Support, Support]] = []
+        # (cost, index, qubits of P, f1, qubits of P', f2)
+        best: list[tuple[int, int, tuple, int, tuple, int]] = []
 
-        def admit(cost, idx, qubits, ops1, ops2) -> float:
+        def admit(cost, idx, qubits, f1, qubits2, f2) -> float:
             """Keep a candidate that beats the cut; return the new cut."""
-            sup1 = tuple((qubits[s], l) for s, l in ops1)
-            sup2 = tuple((qubits[s], l) for s, l in ops2)
-            insort(best, (cost, idx, sup1, sup2))
+            insort(best, (cost, idx, qubits, f1, qubits2, f2))
             if len(best) > keep:
                 best.pop()
             return best[-1][0] if len(best) == keep else math.inf
 
-        # Slot s of a pattern names qubits[s]. The qubit tuples come in
-        # the scan order that fixes the candidate indices and so the ties.
+        # The qubit pairs come in the scan order that fixes the candidate
+        # indices and so the ties.
         cut = math.inf
         idx = 0
-        for qubit_tuples, (firsts, seconds, patterns) in (
-            (permutations(ordered, 1), _SINGLES),
+        for qubit_pairs, patterns in (
+            (((q, None) for q in ordered), _SINGLES),
             (combinations(ordered, 2), _PAIRS),
         ):
-            for qubits in qubit_tuples:
-                img1 = _images(contrib, qubits, firsts)
-                img2 = _images(contrib, qubits, seconds)
-                for i1, i2, pcost, ops1, ops2 in patterns:
-                    ox, oz, occ = img1[i1]
-                    o2x, o2z, occ2 = img2[i2]
+            for qubits in qubit_pairs:
+                grid = _grid(letters[qubits[0]], letters[qubits[1]])
+                for f1, f2, pcost in patterns:
+                    ox, oz, occ = grid[f1]
+                    o2x, o2z, occ2 = grid[f2]
                     if pcost - 1 + (occ | occ2).bit_count() < cut:
                         cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
                         if cost < cut:
-                            cut = admit(cost, idx, qubits, ops1, ops2)
+                            cut = admit(cost, idx, qubits, f1, qubits, f2)
                     idx += 1
 
         # Triples in permutations(ordered, 3) order, one (q0, q1) block
-        # of len(ordered) - 2 partner qubits q2 at a time. A pattern's
-        # first support (the prefix) lies on q0 and q1, its second on q0
-        # and q2, so partner images leave slot 1 unset.
-        prefixes, partners, patterns = _TRIPLES
-        block = len(patterns) * (len(ordered) - 2)
+        # of len(ordered) - 2 partner qubits q2 at a time.
+        block = len(_TRIPLES) * (len(ordered) - 2)
         for q0 in ordered:
-            partner_img = {
-                q2: _images(contrib, (q0, None, q2), partners)
-                for q2 in ordered
-                if q2 != q0
+            grids = {
+                q: _grid(letters[q0], letters[q]) for q in ordered if q != q0
             }
-            for q1 in ordered:
-                if q1 == q0:
-                    continue
-                img1 = _images(contrib, (q0, q1), prefixes)
-                low = [occ.bit_count() - 1 for _, _, occ in img1]
+            for q1, grid1 in grids.items():
+                low = [occ.bit_count() - 1 for _, _, occ in grid1]
                 live = [
-                    (p, *img1[i1], i2, pcost)
-                    for p, (i1, i2, pcost, _, _) in enumerate(patterns)
-                    if pcost + low[i1] < cut
+                    (p, *grid1[f1], f2, pcost)
+                    for p, (f1, f2, pcost) in enumerate(_TRIPLES)
+                    if pcost + low[f1] < cut
                 ]
                 if not live:
                     idx += block
                     continue
-                for q2 in ordered:
-                    if q2 == q0 or q2 == q1:
+                for q2, grid2 in grids.items():
+                    if q2 == q1:
                         continue
-                    img2 = partner_img[q2]
-                    for p, ox, oz, occ, i2, pcost in live:
-                        o2x, o2z, occ2 = img2[i2]
+                    for p, ox, oz, occ, f2, pcost in live:
+                        o2x, o2z, occ2 = grid2[f2]
                         if pcost - 1 + (occ | occ2).bit_count() < cut:
                             cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
                             if cost < cut:
-                                _, _, _, ops1, ops2 = patterns[p]
                                 cut = admit(
-                                    cost, idx + p, (q0, q1, q2), ops1, ops2
+                                    cost, idx + p, (q0, q1), _TRIPLES[p][0],
+                                    (q0, q2), f2,
                                 )
-                    idx += len(patterns)
+                    idx += len(_TRIPLES)
 
-        _, _, sup1, sup2 = best[0 if rng is None else rng.randrange(len(best))]
-        p = _pauli_from_support(n, sup1)
-        p2 = _pauli_from_support(n, sup2)
+        _, _, qubits, f1, qubits2, f2 = best[
+            0 if rng is None else rng.randrange(len(best))
+        ]
+        p = _pauli(n, qubits, f1)
+        p2 = _pauli(n, qubits2, f2)
         o = work.conjugate(p)
         o2 = work.conjugate(p2)
         a_mask, _, _, _ = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)

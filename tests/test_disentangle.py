@@ -13,7 +13,7 @@ from cliffopt import (
     disentangler,
 )
 from cliffopt.synth.disentangle import pair_cost_bits
-from cliffopt.synth.greedy import _TRIPLE_PATTERNS
+from cliffopt.synth.greedy import _TRIPLES
 
 from _dense import circuit_unitary, conjugate_dense, pauli_matrix
 
@@ -126,7 +126,7 @@ def test_cost_is_at_least_support_minus_one():
         assert cost >= union - 1
         tight += cost == union - 1
     assert tight > 0
-    assert {pcost for _, _, pcost in _TRIPLE_PATTERNS} == {2}
+    assert {pcost for _, _, pcost in _TRIPLES} == {2}
 
 
 def test_deferred_swap_is_leading_gate():

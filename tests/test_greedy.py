@@ -13,6 +13,14 @@ from cliffopt import (
     random_clifford,
 )
 from cliffopt.stages import merge_swaps, partition_stages
+from cliffopt.synth.greedy import (
+    _PAIRS,
+    _SINGLES,
+    _TRIPLES,
+    _grid,
+    _letters,
+    _pauli,
+)
 
 
 def test_unidirectional_exact():
@@ -93,6 +101,30 @@ def test_synthesis_leaves_input_unchanged():
             greedy_bidirectional(t, rng=random.Random(seed))
             ag_canonical(t)
             assert t == before
+
+
+def test_scan_grid_matches_conjugate():
+    # Grid index 4 la + lb holds the image of letter la on a and lb on b,
+    # codes 0-3 for I, X, Y and Z.
+    for n in (2, 5, 8):
+        for seed in range(2):
+            t = random_clifford(n, seed)
+            rows = t.rows_bits()
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    grid = _grid(
+                        _letters(rows[a], rows[n + a]),
+                        _letters(rows[b], rows[n + b]),
+                    )
+                    for f in range(1, 16):
+                        o = t.conjugate(_pauli(n, (a, b), f))
+                        assert grid[f] == (
+                            o.x_bits, o.z_bits, o.x_bits | o.z_bits
+                        )
+    assert (len(_SINGLES), len(_PAIRS), len(_TRIPLES)) == (6, 108, 54)
+    assert _SINGLES[0][:2] == (4 * 1, 4 * 3)  # (X, Z) leads
 
 
 def test_ag_canonical_exact():

@@ -27,6 +27,7 @@ from cliffopt import (
 )
 
 from _dense import circuit_unitary, conjugate_dense, pauli_matrix
+from _util import gate_pool
 
 GATE_POOL = [
     h(0), h(1), h(2), s(0), s(1), sdg(2), x(0), y(1), z(2),
@@ -35,21 +36,8 @@ GATE_POOL = [
 
 
 def random_circuit(rng: random.Random, n: int, length: int) -> Circuit:
-    pool = GATE_POOL if n == 3 else _pool(n)
+    pool = GATE_POOL if n == 3 else gate_pool(n)
     return Circuit(n, tuple(rng.choice(pool) for _ in range(length)))
-
-
-def _pool(n: int):
-    gates = []
-    for q in range(n):
-        gates += [h(q), s(q), sdg(q), x(q), y(q), z(q)]
-    for q in range(n):
-        for r in range(n):
-            if q != r:
-                gates.append(cx(q, r))
-            if q < r:
-                gates += [cz(q, r), swap(q, r)]
-    return gates
 
 
 def test_identity_tableau():
