@@ -11,15 +11,17 @@ from cliffopt import (
     Circuit,
     circuit_to_tableau,
     cx,
+    cx,
     cz,
     h,
     s,
     sdg,
     swap,
+    x,
     y,
     z,
 )
-from cliffopt.matching import match_and_apply
+from cliffopt.matching import _WINDOW, match_and_apply
 from cliffopt.templates import (
     Template,
     builtin_templates,
@@ -168,6 +170,35 @@ def test_cz_form_outputs_match_recorded_digest():
     )
 
 
+def test_wide_cz_form_outputs_match_recorded_digest():
+    # CZ-form circuits on 16 to 40 qubits, where most searches are for a
+    # one-qubit gate on a bound wire and walk that wire alone. The digest
+    # was recorded before those searches walked one wire. They shrink
+    # from 600 gates to 422, 467 and 507.
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for n in (16, 24, 40):
+        pool = []
+        for q in range(n):
+            pool += [h(q)] * 4 + [s(q), sdg(q)] * 2 + [x(q), y(q), z(q)]
+        pool += [cz(*rng.sample(range(n), 2)) for _ in range(7 * n)]
+        gates = tuple(rng.choice(pool) for _ in range(600))
+        digest.update(match_and_apply(Circuit(n, gates)).to_text().encode())
+    assert digest.hexdigest() == (
+        "f7d687b43e8093c0948dca32672d99d117d15ec02b7b25796a8c996940114eaf"
+    )
+
+
+def test_window_edge_on_one_wire():
+    # Two H on qubit 0 erase while the second lies within _WINDOW gates
+    # of the first, however many gates on other wires lie between them.
+    assert _WINDOW == 64
+    for k, erased in ((62, True), (63, False)):
+        c = Circuit(3, (h(0),) + (cx(1, 2),) * k + (h(0),))
+        out = match_and_apply(c)
+        assert out.gates == ((cx(1, 2),) * k if erased else c.gates), k
+
+
 def test_matcher_is_equivariant_under_monotone_relabeling():
     # Pending masks take 4 bits per qubit, so on 64 qubits they span up
     # to 256 bits. An order-preserving relabeling keeps the operand order
@@ -215,3 +246,16 @@ def test_past_deadline_returns_input_unchanged():
     assert match_and_apply(c).gates == ()
     assert match_and_apply(c, deadline=time.monotonic() - 1.0) == c
 
+
+
+def test_non_circuit_input_is_rejected():
+    for bad in ([h(0), h(0)], "h 0\nh 0", None):
+        with pytest.raises(ValueError, match="is not a Circuit"):
+            match_and_apply(bad)
+
+
+def test_non_real_deadline_is_rejected():
+    c = Circuit(1, (h(0), h(0)))
+    with pytest.raises(ValueError, match="deadline 'soon' is not a real"):
+        match_and_apply(c, deadline="soon")
+    assert match_and_apply(c, deadline=time.monotonic() + 60).gates == ()
