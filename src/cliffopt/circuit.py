@@ -204,15 +204,6 @@ class Circuit:
                     )
                 n = int(parts[1])
                 continue
-            kind = parts[0]
-            if kind not in GATE_ARITY:
-                raise ValueError(f"line {lineno}: unknown gate {kind!r}")
-            arity = GATE_ARITY[kind]
-            if len(parts) - 1 != arity:
-                raise ValueError(
-                    f"line {lineno}: gate {kind!r} takes {arity} index(es), "
-                    f"got {len(parts) - 1}"
-                )
             qubits = []
             for token in parts[1:]:
                 # isdecimal, unlike isdigit, rejects "²", which int() cannot read.
@@ -228,7 +219,7 @@ class Circuit:
                     )
                 qubits.append(q)
             try:
-                gates.append(Gate(kind, tuple(qubits)))
+                gates.append(Gate(parts[0], tuple(qubits)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         if n is None:

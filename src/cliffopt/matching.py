@@ -61,6 +61,7 @@ window.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import re
 import time
@@ -311,13 +312,18 @@ def match_and_apply(
     Caller templates are checked first: one whose word is not the
     identity raises a ``ValueError`` naming its id. ``deadline`` is a
     ``time.monotonic()`` value; once it has passed, the pass returns the
-    circuit rewritten so far, which still implements the input. A ``c``
-    that is not a ``Circuit`` or a ``deadline`` that is not a real number
-    raises a ``ValueError`` naming it.
+    circuit rewritten so far, which still implements the input; +-inf
+    are accepted. A ``c`` that is not a ``Circuit``, or a ``deadline``
+    that is NaN, a bool or not a real number, raises a ``ValueError``
+    naming it.
     """
     if not isinstance(c, Circuit):
         raise ValueError(f"c {c!r} is not a Circuit")
-    if deadline is not None and not isinstance(deadline, numbers.Real):
+    if deadline is not None and (
+        not isinstance(deadline, numbers.Real)
+        or isinstance(deadline, bool)
+        or math.isnan(deadline)
+    ):
         raise ValueError(f"deadline {deadline!r} is not a real number")
     if templates is None:
         templates = builtin_templates()

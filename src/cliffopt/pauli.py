@@ -122,13 +122,10 @@ class PauliOperator:
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError(f"width mismatch: {self.n} vs {other.n}")
-        # Moving other's X block left past self's Z block gives a factor
-        # (-1) per crossing, folded into the i exponent as +2.
-        phase = self.phase_exp + other.phase_exp
-        phase += 2 * (self.z_bits & other.x_bits).bit_count()
-        return PauliOperator(
-            self.n, self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits, phase
-        )
+        return PauliOperator(self.n, *product_bits(
+            self.x_bits, self.z_bits, self.phase_exp,
+            other.x_bits, other.z_bits, other.phase_exp,
+        ))
 
     def commutes_with(self, other: "PauliOperator") -> bool:
         return not anticommute(self, other)
@@ -198,6 +195,14 @@ def conjugate_columns(
     else:  # pragma: no cover
         raise ValueError(f"unknown gate kind {kind!r}")
     return e0, e1
+
+
+def product_bits(x1: int, z1: int, e1: int, x2: int, z2: int, e2: int) -> tuple:
+    """(x bits, z bits, phase_exp) of the product of the operators
+    i**e1 X^x1 Z^z1 and i**e2 X^x2 Z^z2. Moving the second X block left
+    past the first Z block gives a factor (-1) per crossing, folded into
+    the i exponent as +2."""
+    return x1 ^ x2, z1 ^ z2, (e1 + e2 + 2 * (z1 & x2).bit_count()) % 4
 
 
 def anticommute_bits(x1: int, z1: int, x2: int, z2: int) -> bool:

@@ -88,6 +88,8 @@ def _transpositions(perm) -> list[tuple[int, int]]:
 
 def partition_stages(c: Circuit) -> StagePartition:
     """Factor c into compute, permutation, and Pauli stages."""
+    if not isinstance(c, Circuit):
+        raise ValueError(f"c {c!r} is not a Circuit")
     n = c.n
     # The Pauli layer as a one-row tableau: one-bit columns and phase planes.
     px, pz = [0] * n, [0] * n
@@ -133,6 +135,8 @@ def merge_swaps(p: StagePartition) -> Circuit:
     become mergeable, and the scan fuses what repeatedly taking the
     latest mergeable gate would.
     """
+    if not isinstance(p, StagePartition):
+        raise ValueError(f"p {p!r} is not a StagePartition")
     n = p.compute.n
     gates = p.compute.gates
     perm = list(p.permutation)

@@ -19,6 +19,8 @@ from .disentangle import _bits
 
 def ag_canonical(t: CliffordTableau) -> Circuit:
     """A circuit with tableau exactly t, built by Gaussian elimination."""
+    if not isinstance(t, CliffordTableau):
+        raise ValueError(f"t {t!r} is not a CliffordTableau")
     n = t.n
     work = t.copy()
     cleaning: list[Gate] = []

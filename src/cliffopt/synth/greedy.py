@@ -110,6 +110,8 @@ def greedy_unidirectional(t: CliffordTableau) -> Circuit:
 
     Each step reduces the cheapest active qubit, the lowest index on ties.
     """
+    if not isinstance(t, CliffordTableau):
+        raise ValueError(f"t {t!r} is not a CliffordTableau")
     n = t.n
     work = t.copy()
     act = set(range(n))
@@ -168,6 +170,10 @@ def greedy_bidirectional(
     count in the index, so a skipped candidate could at best tie a kept
     one at a later index, and a later tie is never kept.
     """
+    if not isinstance(t, CliffordTableau):
+        raise ValueError(f"t {t!r} is not a CliffordTableau")
+    if rng is not None and not isinstance(rng, random.Random):
+        raise ValueError(f"rng {rng!r} is not a random.Random")
     n = t.n
     work = t.copy()
     act = set(range(n))

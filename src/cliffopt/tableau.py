@@ -10,14 +10,13 @@ makes a gate application O(1) big-int operations instead of O(n).
 Global phase is never represented: two circuits are considered equal
 when all 2n rows agree including signs.
 
-Two primitives act on this layout: row read and write (``row_bits``,
-``row``, ``_set_row``, ``conjugate``) and left application of a gate
-(``pauli.conjugate_columns``). Row read has a bulk form, ``rows_bits``,
-one bit-matrix transpose of the columns. The rest is derived. Row r of
-U.C is U (C P_r C^-1) U^-1, where C P_r C^-1 is a row of the circuit's
-own tableau; ``then`` and ``inverse`` write a tableau as a circuit by
-``ag_canonical``'s elimination (Aaronson-Gottesman), then apply or
-invert that circuit.
+A gate applies on the left through ``pauli.conjugate_columns``.
+``row_bits`` reads one row; ``rows_bits`` reads all rows by one
+bit-matrix transpose, its own inverse, which also writes them back.
+Tableaus compose by one rule: row r of U.V is U's image of row r of V,
+the product (``pauli.product_bits``) of the rows of U its bits name.
+``then``, ``right_apply_circuit`` and ``conjugate`` are this rule;
+``inverse`` inverts ``ag_canonical``'s (Aaronson-Gottesman) circuit.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import operator
 import random
 
 from .circuit import Circuit, Gate
-from .pauli import PauliOperator, anticommute_bits, conjugate_columns
+from .pauli import PauliOperator, anticommute_bits, conjugate_columns, product_bits
 
 
 class CliffordTableau:
@@ -43,17 +42,10 @@ class CliffordTableau:
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
         self.n = n
-        if _x is None:
-            # Identity: row j has X on qubit j, row n+j has Z on qubit j.
-            self._x = [1 << q for q in range(n)]
-            self._z = [1 << (n + q) for q in range(n)]
-            self._e0 = 0
-            self._e1 = 0
-        else:
-            self._x = _x
-            self._z = _z
-            self._e0 = _e0
-            self._e1 = _e1
+        # By default the identity: row j is X_j and row n+j is Z_j.
+        self._x = [1 << q for q in range(n)] if _x is None else _x
+        self._z = [1 << (n + q) for q in range(n)] if _z is None else _z
+        self._e0, self._e1 = _e0, _e1
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
@@ -64,24 +56,25 @@ class CliffordTableau:
             self.n, list(self._x), list(self._z), self._e0, self._e1
         )
 
+    def _key(self) -> tuple:
+        return self.n, tuple(self._x), tuple(self._z), self._e0, self._e1
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CliffordTableau):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self._x == other._x
-            and self._z == other._z
-            and self._e0 == other._e0
-            and self._e1 == other._e1
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(self._x), tuple(self._z), self._e0, self._e1))
+        return hash(self._key())
 
     # ------------------------------------------------------------------
     # Row access
 
     def _check_row(self, r: int) -> None:
+        try:
+            operator.index(r)
+        except TypeError:
+            raise ValueError(f"row {r!r} is not an integer") from None
         if not 0 <= r < 2 * self.n:
             raise ValueError(f"row {r} out of range")
 
@@ -95,24 +88,18 @@ class CliffordTableau:
         return x, z
 
     def rows_bits(self) -> list[tuple[int, int]]:
-        """``row_bits(r)`` of every row r by one bit-matrix transpose: the
-        columns ``_x`` then ``_z`` are lines 0..2n-1 of a size x size bit
-        matrix, and line r of the transpose holds row r's x then z bits."""
-        n = self.n
-        size = max(8, 1 << (2 * n - 1).bit_length())
-        w = size // 8
-        cols = b"".join(c.to_bytes(w, "little") for c in self._x + self._z)
-        m = int.from_bytes(cols, "little")
-        for shift, mask in _transpose_steps(size):
-            t = ((m >> shift) ^ m) & mask
-            m ^= t ^ (t << shift)
-        raw = m.to_bytes(size * w, "little")
-        low = (1 << n) - 1
-        out = []
-        for r in range(0, 2 * n * w, w):
-            v = int.from_bytes(raw[r:r + w], "little")
-            out.append((v & low, v >> n))
-        return out
+        """``row_bits(r)`` of every row r: the columns ``_x`` then ``_z``
+        transposed, so line r holds row r's x then z bits."""
+        low = (1 << self.n) - 1
+        return [(v & low, v >> self.n) for v in _transpose(self._x + self._z)]
+
+    def _signed_rows(self) -> list[tuple[int, int, int]]:
+        """(x_bits, z_bits, phase_exp) of every row."""
+        e0, e1 = self._e0, self._e1
+        return [
+            (x, z, (e0 >> r & 1) | (e1 >> r & 1) << 1)
+            for r, (x, z) in enumerate(self.rows_bits())
+        ]
 
     def row_phase(self, r: int) -> int:
         self._check_row(r)
@@ -122,29 +109,15 @@ class CliffordTableau:
         x, z = self.row_bits(r)
         return PauliOperator(self.n, x, z, self.row_phase(r))
 
-    def _set_row(self, r: int, p: PauliOperator) -> None:
-        for q in range(self.n):
-            mask = 1 << r
-            if ((self._x[q] >> r) & 1) != ((p.x_bits >> q) & 1):
-                self._x[q] ^= mask
-            if ((self._z[q] >> r) & 1) != ((p.z_bits >> q) & 1):
-                self._z[q] ^= mask
-        if ((self._e0 >> r) & 1) != (p.phase_exp & 1):
-            self._e0 ^= 1 << r
-        if ((self._e1 >> r) & 1) != ((p.phase_exp >> 1) & 1):
-            self._e1 ^= 1 << r
-
     def conjugate(self, p: PauliOperator) -> PauliOperator:
-        """The image U p U^-1 of an arbitrary Pauli operator."""
+        """The image U p U^-1 of a Pauli operator, by the rule of ``then``
+        with p as the one row."""
+        if not isinstance(p, PauliOperator):
+            raise ValueError(f"p {p!r} is not a PauliOperator")
         if p.n != self.n:
             raise ValueError(f"width mismatch: {p.n} vs {self.n}")
-        acc = PauliOperator(self.n, 0, 0, p.phase_exp)
-        for q in range(self.n):
-            if (p.x_bits >> q) & 1:
-                acc = acc * self.row(q)
-            if (p.z_bits >> q) & 1:
-                acc = acc * self.row(self.n + q)
-        return acc
+        image = _image(self._signed_rows(), p.x_bits, p.z_bits, p.phase_exp)
+        return PauliOperator(self.n, *image)
 
     # ------------------------------------------------------------------
     # Left application: tableau of (gate . U)
@@ -166,26 +139,29 @@ class CliffordTableau:
     # Derived operations
 
     def right_apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
-        """Tableau of U . C where C is the circuit unitary."""
-        if circuit.n != self.n:
-            raise ValueError(f"width mismatch: {circuit.n} vs {self.n}")
-        # Row r of U.C is U (C P_r C^-1) U^-1 for P_r = X_r or Z_{r-n},
-        # and C P_r C^-1 is row r of the circuit's own tableau. Only the
-        # rows of the circuit's qubits change.
-        inner = circuit_to_tableau(circuit)
-        out = self.copy()
-        for q in {q for gate in circuit.gates for q in gate.qubits}:
-            for r in (q, self.n + q):
-                out._set_row(r, self.conjugate(inner.row(r)))
-        return out
+        """Tableau of U . C where C is the circuit unitary: the circuit's
+        own tableau, ``then`` U. Rows of qubits C leaves alone are U's."""
+        return circuit_to_tableau(circuit).then(self)
 
     def then(self, other: "CliffordTableau") -> "CliffordTableau":
-        """Tableau of (other_unitary . self_unitary)."""
-        from .synth.canonical import ag_canonical
-
+        """Tableau of (other_unitary . self_unitary). Row r is other's image
+        of self's row r, and a row of self that is still X_r or Z_{r-n},
+        sign included, is simply other's row r."""
+        if not isinstance(other, CliffordTableau):
+            raise ValueError(f"other {other!r} is not a CliffordTableau")
         if other.n != self.n:
             raise ValueError(f"width mismatch: {other.n} vs {self.n}")
-        return self.apply_circuit(ag_canonical(other))
+        n = self.n
+        images = other._signed_rows()
+        rows = [
+            images[r] if x | z << n == 1 << r and not e
+            else _image(images, x, z, e)
+            for r, (x, z, e) in enumerate(self._signed_rows())
+        ]
+        cols = _transpose([x | z << n for x, z, _ in rows])
+        e0 = sum((e & 1) << r for r, (_, _, e) in enumerate(rows))
+        e1 = sum((e >> 1) << r for r, (_, _, e) in enumerate(rows))
+        return CliffordTableau(n, cols[:n], cols[n:], e0, e1)
 
     def inverse(self) -> "CliffordTableau":
         """Tableau of the inverse unitary."""
@@ -194,16 +170,39 @@ class CliffordTableau:
         return circuit_to_tableau(ag_canonical(self).inverse())
 
     def is_identity(self) -> bool:
-        if self._e0 or self._e1:
-            return False
-        for q in range(self.n):
-            if self._x[q] != (1 << q) or self._z[q] != (1 << (self.n + q)):
-                return False
-        return True
+        return self == CliffordTableau(self.n)
 
     def __repr__(self) -> str:
         rows = ", ".join(self.row(r).to_label() for r in range(2 * self.n))
         return f"CliffordTableau({self.n}: {rows})"
+
+
+def _image(rows: list, x: int, z: int, e: int) -> tuple[int, int, int]:
+    """(x_bits, z_bits, phase_exp) of U (i**e X^x Z^z) U^-1 for U with
+    the signed rows ``rows``: the product of the images of X^x, then of
+    Z^z."""
+    n = len(rows) // 2
+    acc = (0, 0, e)
+    for base, bits in ((0, x), (n, z)):
+        while bits:
+            low = bits & -bits
+            acc = product_bits(*acc, *rows[base + low.bit_length() - 1])
+            bits ^= low
+    return acc
+
+
+def _transpose(lines: list[int]) -> list[int]:
+    """Transpose the square bit matrix with line i = lines[i]: bit k of
+    line i becomes bit i of line k. It is its own inverse. The lines are
+    padded to a size x size matrix and moved as one integer."""
+    size = max(8, 1 << (len(lines) - 1).bit_length())
+    w = size // 8
+    m = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in lines]), "little")
+    for shift, mask in _transpose_steps(size):
+        t = ((m >> shift) ^ m) & mask
+        m ^= t ^ (t << shift)
+    low = (1 << size) - 1
+    return [m >> (i * size) & low for i in range(len(lines))]
 
 
 @functools.cache
@@ -221,6 +220,8 @@ def _transpose_steps(size: int) -> tuple[tuple[int, int], ...]:
 
 def circuit_to_tableau(circuit: Circuit) -> CliffordTableau:
     """The tableau of a circuit's unitary."""
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"circuit {circuit!r} is not a Circuit")
     return CliffordTableau.identity(circuit.n).apply_circuit(circuit)
 
 

@@ -198,3 +198,14 @@ def test_unidirectional_wide_outputs_match_recorded_digest():
     assert digest.hexdigest() == (
         "597de2ea511b4b33b502a5d337d87bb58429d5a21dc832567a12ab25ee89ae1b"
     )
+
+
+def test_bidirectional_transpose_size_digest():
+    # Recorded before the tableau wrote its rows back in bulk. These
+    # widths use transpose sizes 64 and 128; the digests above stop at 32.
+    digest = hashlib.sha256()
+    for n in (17, 33):
+        digest.update(greedy_bidirectional(random_clifford(n, 1)).to_text().encode())
+    assert digest.hexdigest() == (
+        "47302d32dc0d90e5c12e64aaa899b1ea4f2cb5028791d233685618eb4dad8b53"
+    )

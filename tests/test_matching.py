@@ -258,4 +258,10 @@ def test_non_real_deadline_is_rejected():
     c = Circuit(1, (h(0), h(0)))
     with pytest.raises(ValueError, match="deadline 'soon' is not a real"):
         match_and_apply(c, deadline="soon")
+    # NaN never compares as passed, and a bool is not a time.
+    for bad in (float("nan"), True, False):
+        with pytest.raises(ValueError, match=f"deadline {bad!r} is not a real"):
+            match_and_apply(c, deadline=bad)
     assert match_and_apply(c, deadline=time.monotonic() + 60).gates == ()
+    assert match_and_apply(c, deadline=float("inf")).gates == ()
+    assert match_and_apply(c, deadline=float("-inf")) == c

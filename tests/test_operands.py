@@ -1,0 +1,51 @@
+"""Wrong-type operands of the public entry points raise a ValueError that
+names the operand."""
+
+import random
+
+import pytest
+
+from cliffopt import (
+    Circuit,
+    CliffordTableau,
+    ag_canonical,
+    circuit_to_tableau,
+    greedy_bidirectional,
+    greedy_unidirectional,
+    random_clifford,
+)
+from cliffopt.stages import merge_swaps, partition_stages
+
+T = random_clifford(3, 1)
+
+
+@pytest.mark.parametrize(
+    "call, pattern",
+    [
+        (lambda: greedy_unidirectional("x"), "t 'x' is not a CliffordTableau"),
+        (lambda: greedy_bidirectional("x"), "t 'x' is not a CliffordTableau"),
+        (
+            lambda: greedy_bidirectional(T, rng=5),
+            "rng 5 is not a random.Random",
+        ),
+        (
+            lambda: partition_stages("qubits 2"),
+            "c 'qubits 2' is not a Circuit",
+        ),
+        (lambda: merge_swaps(Circuit(2, ())), "p Circuit.* is not a StagePartition"),
+        (lambda: ag_canonical(Circuit(2, ())), "t Circuit.* is not a CliffordTableau"),
+        (lambda: T.conjugate("XYZ"), "p 'XYZ' is not a PauliOperator"),
+        (lambda: T.then("x"), "other 'x' is not a CliffordTableau"),
+        (lambda: T.right_apply_circuit("x"), "circuit 'x' is not a Circuit"),
+        (lambda: CliffordTableau(3).row("1"), "row '1' is not an integer"),
+        (lambda: CliffordTableau(3).row_phase(1.0), "row 1.0 is not an integer"),
+    ],
+)
+def test_wrong_type_operand_is_named(call, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        call()
+
+
+def test_random_subclass_is_accepted():
+    c = greedy_bidirectional(T, rng=random.SystemRandom())
+    assert circuit_to_tableau(c) == T

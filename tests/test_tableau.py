@@ -86,7 +86,8 @@ def test_then_composes():
         assert combined == circuit_to_tableau(c1).then(circuit_to_tableau(c2))
         assert combined == circuit_to_tableau(c2).right_apply_circuit(c1)
     # At width, against circuit concatenation and against the row images
-    # U2 (U1 P_r U1^-1) U2^-1, neither of which runs ag_canonical.
+    # U2 (U1 P_r U1^-1) U2^-1. Widths 33 and 65 write their rows back
+    # through transpose sizes 128 and 256.
     for n in (1, 8, 12):
         for seed in (1, 2):
             t1, t2 = random_clifford(n, seed), random_clifford(n, seed + 2)
@@ -98,6 +99,12 @@ def test_then_composes():
             composed = t1.then(t2)
             for r in range(2 * n):
                 assert composed.row(r) == t2.conjugate(t1.row(r))
+    for n in (33, 65):
+        c1 = random_circuit(rng, n, 4 * n)
+        c2 = random_circuit(rng, n, 4 * n)
+        t_c1, t_c2 = circuit_to_tableau(c1), circuit_to_tableau(c2)
+        assert t_c1.then(t_c2) == circuit_to_tableau(c1 + c2)
+        assert t_c2.right_apply_circuit(c1) == circuit_to_tableau(c1 + c2)
 
 
 def test_right_apply_matches_left():
