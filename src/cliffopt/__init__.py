@@ -14,13 +14,14 @@ from .circuit import (
     y,
     z,
 )
-from .pauli import PauliOperator, anticommute, conjugate_pauli
+from .pauli import PauliOperator, anticommute
 from .synth.canonical import ag_canonical
 from .synth.disentangle import disentangle_cost, disentangler
 from .synth.greedy import greedy_bidirectional, greedy_unidirectional
 from .tableau import (
     CliffordTableau,
     circuit_to_tableau,
+    conjugate_pauli,
     random_clifford,
 )
 

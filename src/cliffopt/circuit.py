@@ -152,6 +152,8 @@ class Circuit:
         return iter(self.gates)
 
     def __add__(self, other: "Circuit") -> "Circuit":
+        if not isinstance(other, Circuit):
+            raise ValueError(f"other {other!r} is not a Circuit")
         if self.n != other.n:
             raise ValueError(f"width mismatch: {self.n} vs {other.n}")
         return Circuit(self.n, self.gates + other.gates)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate
+from .circuit import Gate
 
 _AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_AXIS = {v: k for k, v in _AXIS_BITS.items()}
@@ -120,6 +120,8 @@ class PauliOperator:
         return _BITS_AXIS[(_bit(self.x_bits, q), _bit(self.z_bits, q))]
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
+        if not isinstance(other, PauliOperator):
+            raise ValueError(f"other {other!r} is not a PauliOperator")
         if self.n != other.n:
             raise ValueError(f"width mismatch: {self.n} vs {other.n}")
         return PauliOperator(self.n, *product_bits(
@@ -129,24 +131,6 @@ class PauliOperator:
 
     def commutes_with(self, other: "PauliOperator") -> bool:
         return not anticommute(self, other)
-
-    def conjugated(self, gate: Gate) -> "PauliOperator":
-        """The image of self under conjugation by a single gate."""
-        qubits = gate.qubits
-        if max(qubits) >= self.n:
-            raise ValueError(f"gate {gate} out of range for {self.n} qubit(s)")
-        # One-bit columns of the gate's qubits: this row is a one-row tableau.
-        x_bits, z_bits = self.x_bits, self.z_bits
-        x, z = {}, {}
-        for q in qubits:
-            x[q] = (x_bits >> q) & 1
-            z[q] = (z_bits >> q) & 1
-        e = self.phase_exp
-        e0, e1 = conjugate_columns(gate, x, z, e & 1, e >> 1)
-        for q in qubits:
-            x_bits ^= (((x_bits >> q) & 1) ^ x[q]) << q
-            z_bits ^= (((z_bits >> q) & 1) ^ z[q]) << q
-        return PauliOperator(self.n, x_bits, z_bits, e0 + 2 * e1)
 
     def __str__(self) -> str:
         return self.to_label()
@@ -160,8 +144,10 @@ def conjugate_columns(
     Bit r of the columns ``x[q]`` and ``z[q]`` is row r's X / Z component
     on qubit q, and row r's phase is i**(e0_r + 2*e1_r), X before Z. The
     gate's columns are updated in place; the new phase planes are
-    returned. This one rule serves both a tableau, with 2n-row columns,
-    and a single Pauli row, with one-bit columns of the gate's qubits.
+    returned. This one rule serves a tableau, with 2n-row columns, and
+    the short stacks of the synthesis and stage layers: a Pauli pair in
+    two-bit columns and the stage partition's Pauli layer in one-bit
+    columns.
     """
     kind = gate.kind
     # a is the only qubit, the CX control or the first two-qubit operand.
@@ -213,19 +199,9 @@ def anticommute_bits(x1: int, z1: int, x2: int, z2: int) -> bool:
 
 def anticommute(p: PauliOperator, q: PauliOperator) -> bool:
     """True when the two operators anticommute."""
+    for name, op in (("p", p), ("q", q)):
+        if not isinstance(op, PauliOperator):
+            raise ValueError(f"{name} {op!r} is not a PauliOperator")
     if p.n != q.n:
         raise ValueError(f"width mismatch: {p.n} vs {q.n}")
     return anticommute_bits(p.x_bits, p.z_bits, q.x_bits, q.z_bits)
-
-
-def conjugate_pauli(circuit: Circuit, p: PauliOperator) -> PauliOperator:
-    """Conjugate p by the circuit unitary: returns G p G^-1.
-
-    Gates are folded in list order, so the first gate of the circuit is
-    the innermost conjugation.
-    """
-    if circuit.n != p.n:
-        raise ValueError(f"width mismatch: circuit {circuit.n} vs operator {p.n}")
-    for gate in circuit.gates:
-        p = p.conjugated(gate)
-    return p

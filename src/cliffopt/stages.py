@@ -60,6 +60,8 @@ class StagePartition:
 
 
 def pauli_layer_gates(p: PauliOperator) -> list[Gate]:
+    if not isinstance(p, PauliOperator):
+        raise ValueError(f"p {p!r} is not a PauliOperator")
     gates = []
     for q in range(p.n):
         axis = p.axis(q)

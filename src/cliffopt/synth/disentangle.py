@@ -88,6 +88,9 @@ def _bits(mask: int, start: int = 0) -> list[int]:
 
 
 def _check_pair(o: PauliOperator, o2: PauliOperator) -> None:
+    for name, p in (("o", o), ("o2", o2)):
+        if not isinstance(p, PauliOperator):
+            raise ValueError(f"{name} {p!r} is not a PauliOperator")
     if o.n != o2.n:
         raise ValueError(f"width mismatch: {o.n} vs {o2.n}")
     if not (o.is_hermitian and o2.is_hermitian):

@@ -9,6 +9,11 @@ of inputs, compares the cost of reducing (P, P') against the cost of
 reducing their images (O, O') = (U P U^-1, U P' U^-1), and emits gates
 on both sides at once, which empirically lowers the CX count.
 
+Both run on one loop, ``_peel``; a driver's step only picks the pair and
+returns its left gates, its right gates and the qubit they free. The
+loop skips the right application when the right gates are empty, as
+they always are for the unidirectional driver.
+
 The scan names a letter by its code, 0-3 for I, X, Y and Z, and a Pauli
 on two qubits (a, b) by its grid index 4 la + lb: letter la on a and lb
 on b. A qubit pair's grid holds the image of all 16 such Paulis.
@@ -23,7 +28,7 @@ from itertools import chain, combinations
 
 from ..circuit import Circuit, Gate
 from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits
-from ..tableau import CliffordTableau
+from ..tableau import CliffordTableau, _image
 from .disentangle import _class_masks, clean_pair_gates, pair_cost_bits
 
 # With an rng, the bidirectional scan draws from this many cheapest candidates.
@@ -88,10 +93,11 @@ _TRIPLES = _patterns(
 _UNTOUCHED = ((0, 0),) * 4
 
 
-def _letters(xq: tuple[int, int], zq: tuple[int, int]) -> tuple:
+def _letters(xq: tuple, zq: tuple) -> tuple:
     """(x bits, z bits) of the images of I, X, Y and Z on a qubit whose X
-    and Z images are xq and zq."""
-    return ((0, 0), xq, (xq[0] ^ zq[0], xq[1] ^ zq[1]), zq)
+    and Z image rows start with those bits; a row's sign is dropped."""
+    (xx, xz), (zx, zz) = xq[:2], zq[:2]
+    return ((0, 0), (xx, xz), (xx ^ zx, xz ^ zz), (zx, zz))
 
 
 def _grid(ia: tuple, ib: tuple) -> list[tuple[int, int, int]]:
@@ -105,34 +111,53 @@ def _grid(ia: tuple, ib: tuple) -> list[tuple[int, int, int]]:
     return out
 
 
-def greedy_unidirectional(t: CliffordTableau) -> Circuit:
-    """Synthesize a circuit for t, emitting gates on the output side only.
+def _peel(t: CliffordTableau, step) -> Circuit:
+    """Reduce a private copy of t to the identity, one qubit per step.
 
-    Each step reduces the cheapest active qubit, the lowest index on ties.
+    ``step(work, ordered)`` returns (left gates, right gates, j) for the
+    work tableau and its active qubits in ascending order: the left
+    gates reduce the pair on qubit j from the output side, and the right
+    gates, possibly none, the matching pair from the input side.
     """
     if not isinstance(t, CliffordTableau):
         raise ValueError(f"t {t!r} is not a CliffordTableau")
     n = t.n
     work = t.copy()
     act = set(range(n))
-    parts: list[list[Gate]] = []
+    left_parts: list[list[Gate]] = []
+    right_parts: list[list[Gate]] = []
     while act:
+        dl_gates, dr_gates, j = step(work, sorted(act))
+        for g in dl_gates:
+            work._apply_inplace(g)
+        if dr_gates:
+            work = work.right_apply_circuit(Circuit(n, tuple(dr_gates)).inverse())
+            right_parts.append(dr_gates)
+        left_parts.append([g.inverse() for g in reversed(dl_gates)])
+        act.remove(j)
+    if not work.is_identity():
+        raise AssertionError("synthesis left a non-identity residue")
+    return Circuit(n, tuple(chain(*right_parts, *reversed(left_parts))))
+
+
+def greedy_unidirectional(t: CliffordTableau) -> Circuit:
+    """Synthesize a circuit for t, emitting gates on the output side only.
+
+    Each step reduces the cheapest active qubit, the lowest index on ties.
+    """
+
+    def step(work, ordered):
+        n = work.n
         rows = work.rows_bits()
-        p = min(
-            sorted(act), key=lambda q: pair_cost_bits(*rows[q], *rows[n + q])
-        )
+        p = min(ordered, key=lambda q: pair_cost_bits(*rows[q], *rows[n + q]))
         d_gates = clean_pair_gates(
             PauliOperator(n, *rows[p], work.row_phase(p)),
             PauliOperator(n, *rows[n + p], work.row_phase(n + p)),
             target=p,
         )
-        for g in d_gates:
-            work._apply_inplace(g)
-        parts.append([g.inverse() for g in reversed(d_gates)])
-        act.remove(p)
-    if not work.is_identity():
-        raise AssertionError("synthesis left a non-identity residue")
-    return Circuit(n, tuple(chain.from_iterable(reversed(parts))))
+        return d_gates, (), p
+
+    return _peel(t, step)
 
 
 def greedy_bidirectional(
@@ -170,19 +195,14 @@ def greedy_bidirectional(
     count in the index, so a skipped candidate could at best tie a kept
     one at a later index, and a later tie is never kept.
     """
-    if not isinstance(t, CliffordTableau):
-        raise ValueError(f"t {t!r} is not a CliffordTableau")
     if rng is not None and not isinstance(rng, random.Random):
         raise ValueError(f"rng {rng!r} is not a random.Random")
-    n = t.n
-    work = t.copy()
-    act = set(range(n))
-    left_parts: list[list[Gate]] = []
-    right_parts: list[list[Gate]] = []
     keep = 1 if rng is None else _POOL
-    while act:
-        ordered = sorted(act)
-        rows = work.rows_bits()
+
+    def step(work, ordered):
+        # One signed read serves the scan and the images (O, O').
+        n = work.n
+        rows = work._signed_rows()
         letters = {q: _letters(rows[q], rows[n + q]) for q in ordered}
         letters[None] = _UNTOUCHED
 
@@ -251,26 +271,13 @@ def greedy_bidirectional(
         ]
         p = _pauli(n, qubits, f1)
         p2 = _pauli(n, qubits2, f2)
-        o = work.conjugate(p)
-        o2 = work.conjugate(p2)
+        o = PauliOperator(n, *_image(rows, p.x_bits, p.z_bits, p.phase_exp))
+        o2 = PauliOperator(n, *_image(rows, p2.x_bits, p2.z_bits, p2.phase_exp))
         a_mask, _, _, _ = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
         j = (a_mask & -a_mask).bit_length() - 1
         dl_gates = clean_pair_gates(o, o2, target=j)
         if dl_gates and dl_gates[-1].kind == "swap":
             raise AssertionError("left reduction should land on its anchor")
-        dr_gates = clean_pair_gates(p, p2, target=j)
-        for g in dl_gates:
-            work._apply_inplace(g)
-        work = work.right_apply_circuit(Circuit(n, tuple(dr_gates)).inverse())
-        left_parts.append([g.inverse() for g in reversed(dl_gates)])
-        right_parts.append(dr_gates)
-        act.remove(j)
-    if not work.is_identity():
-        raise AssertionError("synthesis left a non-identity residue")
-    gates = tuple(
-        chain(
-            chain.from_iterable(right_parts),
-            chain.from_iterable(reversed(left_parts)),
-        )
-    )
-    return Circuit(n, gates)
+        return dl_gates, clean_pair_gates(p, p2, target=j), j
+
+    return _peel(t, step)

@@ -15,7 +15,8 @@ A gate applies on the left through ``pauli.conjugate_columns``.
 bit-matrix transpose, its own inverse, which also writes them back.
 Tableaus compose by one rule: row r of U.V is U's image of row r of V,
 the product (``pauli.product_bits``) of the rows of U its bits name.
-``then``, ``right_apply_circuit`` and ``conjugate`` are this rule;
+``then``, ``right_apply_circuit``, ``conjugate`` and ``conjugate_pauli``
+are this rule;
 ``inverse`` inverts ``ag_canonical``'s (Aaronson-Gottesman) circuit.
 """
 
@@ -128,6 +129,8 @@ class CliffordTableau:
         )
 
     def apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
+        if not isinstance(circuit, Circuit):
+            raise ValueError(f"circuit {circuit!r} is not a Circuit")
         if circuit.n != self.n:
             raise ValueError(f"width mismatch: {circuit.n} vs {self.n}")
         out = self.copy()
@@ -223,6 +226,12 @@ def circuit_to_tableau(circuit: Circuit) -> CliffordTableau:
     if not isinstance(circuit, Circuit):
         raise ValueError(f"circuit {circuit!r} is not a Circuit")
     return CliffordTableau.identity(circuit.n).apply_circuit(circuit)
+
+
+def conjugate_pauli(circuit: Circuit, p: PauliOperator) -> PauliOperator:
+    """Conjugate p by the circuit unitary: returns G p G^-1, the image of p
+    under the circuit's tableau."""
+    return circuit_to_tableau(circuit).conjugate(p)
 
 
 def random_clifford(n: int, seed: int) -> CliffordTableau:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .circuit import Circuit, Gate, cz, h, s, sdg, swap, z
+from .tableau import circuit_to_tableau
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,4 @@ def builtin_templates() -> tuple[Template, ...]:
 
 def template_is_identity(template: Template) -> bool:
     """Whether the template's word multiplies out to the identity."""
-    from .tableau import circuit_to_tableau
-
     return circuit_to_tableau(Circuit(template.size, template.gates)).is_identity()

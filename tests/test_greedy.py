@@ -209,3 +209,19 @@ def test_bidirectional_transpose_size_digest():
     assert digest.hexdigest() == (
         "47302d32dc0d90e5c12e64aaa899b1ea4f2cb5028791d233685618eb4dad8b53"
     )
+
+
+def test_randomized_bidirectional_outputs_match_recorded_digest():
+    # Recorded before both drivers shared one peel loop, which moved the
+    # rng draw into the bidirectional step; the seeded pool choice must
+    # not move.
+    digest = hashlib.sha256()
+    for n in range(3, 11):
+        for seed in range(1, 4):
+            c = greedy_bidirectional(
+                random_clifford(n, seed), rng=random.Random(seed)
+            )
+            digest.update(c.to_text().encode())
+    assert digest.hexdigest() == (
+        "d6e7fd733710add33ecbf21ff47c7e21d42addfad73054728002c7eca90abf89"
+    )

@@ -8,15 +8,20 @@ import pytest
 from cliffopt import (
     Circuit,
     CliffordTableau,
+    PauliOperator,
     ag_canonical,
+    anticommute,
     circuit_to_tableau,
+    disentangle_cost,
+    disentangler,
     greedy_bidirectional,
     greedy_unidirectional,
     random_clifford,
 )
-from cliffopt.stages import merge_swaps, partition_stages
+from cliffopt.stages import merge_swaps, partition_stages, pauli_layer_gates
 
 T = random_clifford(3, 1)
+X2, Z2 = PauliOperator.from_label("XI"), PauliOperator.from_label("ZI")
 
 
 @pytest.mark.parametrize(
@@ -39,6 +44,13 @@ T = random_clifford(3, 1)
         (lambda: T.right_apply_circuit("x"), "circuit 'x' is not a Circuit"),
         (lambda: CliffordTableau(3).row("1"), "row '1' is not an integer"),
         (lambda: CliffordTableau(3).row_phase(1.0), "row 1.0 is not an integer"),
+        (lambda: disentangler("XZ", Z2), "o 'XZ' is not a PauliOperator"),
+        (lambda: disentangle_cost(X2, "ZI"), "o2 'ZI' is not a PauliOperator"),
+        (lambda: anticommute(X2, "ZI"), "q 'ZI' is not a PauliOperator"),
+        (lambda: pauli_layer_gates("XZ"), "p 'XZ' is not a PauliOperator"),
+        (lambda: Circuit(2, ()) + "h 0", "other 'h 0' is not a Circuit"),
+        (lambda: X2 * "ZI", "other 'ZI' is not a PauliOperator"),
+        (lambda: T.apply_circuit("h 0"), "circuit 'h 0' is not a Circuit"),
     ],
 )
 def test_wrong_type_operand_is_named(call, pattern):

@@ -39,7 +39,7 @@ TWO_GATES = [cx(0, 1), cx(1, 0), cz(0, 1), swap(0, 1)]
 def test_single_qubit_conjugation_matches_dense(gate):
     u = gate_unitary(gate, 1)
     for p in all_paulis(1):
-        got = pauli_matrix(p.conjugated(gate))
+        got = pauli_matrix(conjugate_pauli(Circuit(p.n, (gate,)), p))
         want = conjugate_dense(u, pauli_matrix(p))
         assert np.allclose(got, want), f"{gate} on {p.to_label()}"
 
@@ -48,7 +48,7 @@ def test_single_qubit_conjugation_matches_dense(gate):
 def test_two_qubit_conjugation_matches_dense(gate):
     u = gate_unitary(gate, 2)
     for p in all_paulis(2):
-        got = pauli_matrix(p.conjugated(gate))
+        got = pauli_matrix(conjugate_pauli(Circuit(p.n, (gate,)), p))
         want = conjugate_dense(u, pauli_matrix(p))
         assert np.allclose(got, want), f"{gate} on {p.to_label()}"
 
