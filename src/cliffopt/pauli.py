@@ -117,6 +117,12 @@ class PauliOperator:
 
     def axis(self, q: int) -> str:
         """The letter I, X, Y or Z acting on qubit q."""
+        try:
+            operator.index(q)
+        except TypeError:
+            raise ValueError(f"q {q!r} is not an integer") from None
+        if not 0 <= q < self.n:
+            raise ValueError(f"q {q} out of range for {self.n} qubit(s)")
         return _BITS_AXIS[(_bit(self.x_bits, q), _bit(self.z_bits, q))]
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":

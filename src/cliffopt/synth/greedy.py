@@ -9,10 +9,12 @@ of inputs, compares the cost of reducing (P, P') against the cost of
 reducing their images (O, O') = (U P U^-1, U P' U^-1), and emits gates
 on both sides at once, which empirically lowers the CX count.
 
-Both run on one loop, ``_peel``; a driver's step only picks the pair and
-returns its left gates, its right gates and the qubit they free. The
-loop skips the right application when the right gates are empty, as
-they always are for the unidirectional driver.
+The three synthesizers, ``greedy_unidirectional``, ``greedy_bidirectional``
+and ``canonical.ag_canonical``, each run one step per qubit in one loop,
+``_peel``, which owns the work copy, the residue check and the output
+circuit. A step passes its left gates to ``emit``, which applies them to
+the work tableau at once, and returns its right gates, possibly none,
+and the qubit it freed.
 
 The scan names a letter by its code, 0-3 for I, X, Y and Z, and a Pauli
 on two qubits (a, b) by its grid index 4 la + lb: letter la on a and lb
@@ -24,7 +26,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from itertools import chain, combinations
+from itertools import combinations, permutations
+from operator import itemgetter
 
 from ..circuit import Circuit, Gate
 from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits
@@ -114,30 +117,33 @@ def _grid(ia: tuple, ib: tuple) -> list[tuple[int, int, int]]:
 def _peel(t: CliffordTableau, step) -> Circuit:
     """Reduce a private copy of t to the identity, one qubit per step.
 
-    ``step(work, ordered)`` returns (left gates, right gates, j) for the
-    work tableau and its active qubits in ascending order: the left
-    gates reduce the pair on qubit j from the output side, and the right
-    gates, possibly none, the matching pair from the input side.
+    ``step(work, ordered, emit)`` gets the work tableau and its active
+    qubits in ascending order, and returns (right gates, j): its emitted
+    left gates reduce the pair on qubit j from the output side, and the
+    right gates the matching pair from the input side.
     """
     if not isinstance(t, CliffordTableau):
         raise ValueError(f"t {t!r} is not a CliffordTableau")
     n = t.n
     work = t.copy()
-    act = set(range(n))
-    left_parts: list[list[Gate]] = []
-    right_parts: list[list[Gate]] = []
-    while act:
-        dl_gates, dr_gates, j = step(work, sorted(act))
-        for g in dl_gates:
+    left: list[Gate] = []
+    right: list[Gate] = []
+
+    def emit(*gates: Gate) -> None:
+        for g in gates:
             work._apply_inplace(g)
+        left.extend(gates)
+
+    act = set(range(n))
+    while act:
+        dr_gates, j = step(work, sorted(act), emit)
         if dr_gates:
             work = work.right_apply_circuit(Circuit(n, tuple(dr_gates)).inverse())
-            right_parts.append(dr_gates)
-        left_parts.append([g.inverse() for g in reversed(dl_gates)])
+            right.extend(dr_gates)
         act.remove(j)
     if not work.is_identity():
         raise AssertionError("synthesis left a non-identity residue")
-    return Circuit(n, tuple(chain(*right_parts, *reversed(left_parts))))
+    return Circuit(n, (*right, *(g.inverse() for g in reversed(left))))
 
 
 def greedy_unidirectional(t: CliffordTableau) -> Circuit:
@@ -146,16 +152,16 @@ def greedy_unidirectional(t: CliffordTableau) -> Circuit:
     Each step reduces the cheapest active qubit, the lowest index on ties.
     """
 
-    def step(work, ordered):
+    def step(work, ordered, emit):
         n = work.n
         rows = work.rows_bits()
         p = min(ordered, key=lambda q: pair_cost_bits(*rows[q], *rows[n + q]))
-        d_gates = clean_pair_gates(
+        emit(*clean_pair_gates(
             PauliOperator(n, *rows[p], work.row_phase(p)),
             PauliOperator(n, *rows[n + p], work.row_phase(n + p)),
             target=p,
-        )
-        return d_gates, (), p
+        ))
+        return (), p
 
     return _peel(t, step)
 
@@ -177,8 +183,8 @@ def greedy_bidirectional(
     qubits. Singles put P and P' on one qubit q, at grid indices 4 l of
     (q, no qubit); pairs put both on a qubit pair (a, b). A triple
     (q0, q1, q2) puts P at index f1 of the grid of (q0, q1) and P' at
-    index f2 of the grid of (q0, q2), so each step builds one grid per
-    ordered pair (q0, q) and reads it for prefixes and partners alike.
+    index f2 of the grid of (q0, q2). Each step builds one grid per
+    single and per ordered qubit pair, and every phase reads from them.
 
     The scan skips candidates that provably cannot be kept, so it keeps
     exactly what a full scan would. The images (O, O') of an
@@ -191,82 +197,74 @@ def greedy_bidirectional(
     qubits. The cut is the cost of the worst kept candidate once
     ``keep`` are kept; before that nothing is skipped. A candidate or
     prefix whose bound is not below the cut is skipped. That is exact:
-    the scan runs in candidate-index order and skipped candidates still
-    count in the index, so a skipped candidate could at best tie a kept
-    one at a later index, and a later tie is never kept.
+    a skipped candidate could at best tie a kept one found earlier, and
+    a tie keeps the one found earlier.
     """
     if rng is not None and not isinstance(rng, random.Random):
         raise ValueError(f"rng {rng!r} is not a random.Random")
     keep = 1 if rng is None else _POOL
 
-    def step(work, ordered):
+    def step(work, ordered, emit):
         # One signed read serves the scan and the images (O, O').
         n = work.n
         rows = work._signed_rows()
         letters = {q: _letters(rows[q], rows[n + q]) for q in ordered}
         letters[None] = _UNTOUCHED
+        grids = {
+            (a, b): _grid(letters[a], letters[b])
+            for a in ordered
+            for b in (None, *ordered)
+            if a != b
+        }
 
-        # (cost, index, qubits of P, f1, qubits of P', f2)
-        best: list[tuple[int, int, tuple, int, tuple, int]] = []
+        # (cost, qubits of P, f1, qubits of P', f2), in scan order on ties
+        best: list[tuple[int, tuple, int, tuple, int]] = []
 
-        def admit(cost, idx, qubits, f1, qubits2, f2) -> float:
+        def admit(*candidate) -> float:
             """Keep a candidate that beats the cut; return the new cut."""
-            insort(best, (cost, idx, qubits, f1, qubits2, f2))
+            insort(best, candidate, key=itemgetter(0))
             if len(best) > keep:
                 best.pop()
             return best[-1][0] if len(best) == keep else math.inf
 
-        # The qubit pairs come in the scan order that fixes the candidate
-        # indices and so the ties.
         cut = math.inf
-        idx = 0
         for qubit_pairs, patterns in (
             (((q, None) for q in ordered), _SINGLES),
             (combinations(ordered, 2), _PAIRS),
         ):
             for qubits in qubit_pairs:
-                grid = _grid(letters[qubits[0]], letters[qubits[1]])
+                grid = grids[qubits]
                 for f1, f2, pcost in patterns:
                     ox, oz, occ = grid[f1]
                     o2x, o2z, occ2 = grid[f2]
                     if pcost - 1 + (occ | occ2).bit_count() < cut:
                         cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
                         if cost < cut:
-                            cut = admit(cost, idx, qubits, f1, qubits, f2)
-                    idx += 1
+                            cut = admit(cost, qubits, f1, qubits, f2)
 
-        # Triples in permutations(ordered, 3) order, one (q0, q1) block
-        # of len(ordered) - 2 partner qubits q2 at a time.
-        block = len(_TRIPLES) * (len(ordered) - 2)
-        for q0 in ordered:
-            grids = {
-                q: _grid(letters[q0], letters[q]) for q in ordered if q != q0
-            }
-            for q1, grid1 in grids.items():
-                low = [occ.bit_count() - 1 for _, _, occ in grid1]
-                live = [
-                    (p, *grid1[f1], f2, pcost)
-                    for p, (f1, f2, pcost) in enumerate(_TRIPLES)
-                    if pcost + low[f1] < cut
-                ]
-                if not live:
-                    idx += block
+        # Triples (q0, q1, q2) in permutations(ordered, 3) order.
+        for q0, q1 in permutations(ordered, 2):
+            grid1 = grids[q0, q1]
+            low = [occ.bit_count() - 1 for _, _, occ in grid1]
+            live = [
+                (f1, *grid1[f1], f2, pcost)
+                for f1, f2, pcost in _TRIPLES
+                if pcost + low[f1] < cut
+            ]
+            if not live:
+                continue
+            for q2 in ordered:
+                if q2 == q0 or q2 == q1:
                     continue
-                for q2, grid2 in grids.items():
-                    if q2 == q1:
-                        continue
-                    for p, ox, oz, occ, f2, pcost in live:
-                        o2x, o2z, occ2 = grid2[f2]
-                        if pcost - 1 + (occ | occ2).bit_count() < cut:
-                            cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
-                            if cost < cut:
-                                cut = admit(
-                                    cost, idx + p, (q0, q1), _TRIPLES[p][0],
-                                    (q0, q2), f2,
-                                )
-                    idx += len(_TRIPLES)
+                grid2 = grids[q0, q2]
+                for f1, ox, oz, occ, f2, pcost in live:
+                    o2x, o2z, occ2 = grid2[f2]
+                    if pcost - 1 + (occ | occ2).bit_count() < cut:
+                        cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
+                        if cost < cut:
+                            cut = admit(cost, (q0, q1), f1, (q0, q2), f2)
 
-        _, _, qubits, f1, qubits2, f2 = best[
+        _, qubits, f1, qubits2, f2 = best[
             0 if rng is None else rng.randrange(len(best))
         ]
         p = _pauli(n, qubits, f1)
@@ -278,6 +276,7 @@ def greedy_bidirectional(
         dl_gates = clean_pair_gates(o, o2, target=j)
         if dl_gates and dl_gates[-1].kind == "swap":
             raise AssertionError("left reduction should land on its anchor")
-        return dl_gates, clean_pair_gates(p, p2, target=j), j
+        emit(*dl_gates)
+        return clean_pair_gates(p, p2, target=j), j
 
     return _peel(t, step)

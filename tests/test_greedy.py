@@ -225,3 +225,15 @@ def test_randomized_bidirectional_outputs_match_recorded_digest():
     assert digest.hexdigest() == (
         "d6e7fd733710add33ecbf21ff47c7e21d42addfad73054728002c7eca90abf89"
     )
+
+
+def test_ag_canonical_wide_outputs_match_recorded_digest():
+    # Recorded before the elimination became a step of the shared peel
+    # loop; the digest above pins ag_canonical only up to n = 8.
+    digest = hashlib.sha256()
+    for n in (*range(9, 17), 24, 33, 40):
+        for seed in (1, 2):
+            digest.update(ag_canonical(random_clifford(n, seed)).to_text().encode())
+    assert digest.hexdigest() == (
+        "e6cd2900b9abb22593a530fd089ae51b0f0c8c5219b39861d37dff959d9e2f4f"
+    )

@@ -51,6 +51,7 @@ X2, Z2 = PauliOperator.from_label("XI"), PauliOperator.from_label("ZI")
         (lambda: Circuit(2, ()) + "h 0", "other 'h 0' is not a Circuit"),
         (lambda: X2 * "ZI", "other 'ZI' is not a PauliOperator"),
         (lambda: T.apply_circuit("h 0"), "circuit 'h 0' is not a Circuit"),
+        (lambda: X2.axis("a"), "q 'a' is not an integer"),
     ],
 )
 def test_wrong_type_operand_is_named(call, pattern):

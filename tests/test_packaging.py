@@ -106,3 +106,28 @@ def test_every_definition_is_referenced():
             if top == "src":
                 defined |= _definitions(tree)
     assert sorted(defined - used) == []
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export; every other module uses what it
+    # imports.
+    unused = []
+    for path in (ROOT / "src" / "cliffopt").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            rel = path.relative_to(ROOT)
+            unused += [f"{rel}: {name}" for name in bound if name not in loaded]
+    assert unused == []

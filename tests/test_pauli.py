@@ -127,6 +127,12 @@ def test_axis_letters():
     assert [p.axis(q) for q in range(4)] == ["X", "Y", "Z", "I"]
 
 
+@pytest.mark.parametrize("q", [5, 2, -1])
+def test_axis_rejects_qubit_out_of_range(q):
+    with pytest.raises(ValueError, match=f"q {q} out of range for 2"):
+        PauliOperator.from_label("XY").axis(q)
+
+
 GATE_POOL = [
     h(0), h(1), h(2), s(0), s(1), sdg(2), x(0), y(1), z(2),
     cx(0, 1), cx(1, 2), cx(2, 0), cz(0, 1), cz(1, 2), swap(0, 2),
