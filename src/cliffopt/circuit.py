@@ -3,6 +3,12 @@
 A circuit is a time-ordered gate list: the first gate in ``gates`` acts
 first. The unitary of a circuit is therefore the product of the gate
 unitaries in reverse list order.
+
+This module also holds the operand rule every module checks its input
+by. An integer operand is a Python or numpy integer, not a bool, and is
+stored as an int (``_integer``); an operand of the wrong type
+(``_expect``) or two operands of different widths (``_same_width``)
+raise a ``ValueError`` that names the operand and its value.
 """
 
 from __future__ import annotations
@@ -36,6 +42,27 @@ TWO_QUBIT_WEIGHT: dict[str, int] = {"cx": 1, "cz": 1, "swap": 3}
 _INVERSE_KIND: dict[str, str] = {"s": "sdg", "sdg": "s"}
 
 
+def _integer(value, name: str) -> int:
+    """value as an int. operator.index takes Python and numpy integers,
+    not 1.5 or "1"; a bool is a truth value, not a qubit or a width."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} {value!r} is not an integer")
+
+
+def _expect(value, kind: type, name: str) -> None:
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} {value!r} is not a {kind.__name__}")
+
+
+def _same_width(a: int, b: int) -> None:
+    if a != b:
+        raise ValueError(f"width mismatch: {a} vs {b}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """A single gate application, identified by mnemonic and qubit operands."""
@@ -53,14 +80,8 @@ class Gate:
             )
         qubits = []
         for q in self.qubits:
-            # operator.index takes int and numpy integers, not 1.5 or "1".
-            try:
-                q = operator.index(q)
-            except TypeError:
-                raise ValueError(
-                    f"gate {self.kind!r}: qubit operand {q!r} is not an "
-                    "integer"
-                ) from None
+            if type(q) is not int:
+                q = _integer(q, f"gate {self.kind!r} qubit")
             if q < 0:
                 raise ValueError(f"negative qubit index in {self.qubits}")
             qubits.append(q)
@@ -127,19 +148,19 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValueError(
-                f"circuit width n={self.n!r} is not an integer"
-            ) from None
+        object.__setattr__(self, "n", _integer(self.n, "circuit width n"))
         if self.n < 1:
             raise ValueError(f"circuit needs at least one qubit, got n={self.n}")
         if not isinstance(self.gates, tuple):
-            object.__setattr__(self, "gates", tuple(self.gates))
+            try:
+                gates = iter(self.gates)
+            except TypeError:
+                raise ValueError(f"gates {self.gates!r} is not iterable") from None
+            object.__setattr__(self, "gates", tuple(gates))
         for g in self.gates:
+            # Tested inline to spare a call per gate; _expect words the error.
             if not isinstance(g, Gate):
-                raise ValueError(f"circuit element {g!r} is not a Gate")
+                _expect(g, Gate, "circuit element")
             if max(g.qubits) >= self.n:
                 raise ValueError(
                     f"gate {g} out of range for {self.n} qubit(s)"
@@ -152,10 +173,8 @@ class Circuit:
         return iter(self.gates)
 
     def __add__(self, other: "Circuit") -> "Circuit":
-        if not isinstance(other, Circuit):
-            raise ValueError(f"other {other!r} is not a Circuit")
-        if self.n != other.n:
-            raise ValueError(f"width mismatch: {self.n} vs {other.n}")
+        _expect(other, Circuit, "other")
+        _same_width(self.n, other.n)
         return Circuit(self.n, self.gates + other.gates)
 
     @property
@@ -188,6 +207,7 @@ class Circuit:
         line is one gate: a mnemonic and space-separated 0-based decimal
         qubit indices. ``#`` starts a comment, blank lines are skipped.
         """
+        _expect(text, str, "text")
         n: int | None = None
         gates: list[Gate] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):

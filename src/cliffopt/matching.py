@@ -61,7 +61,6 @@ window.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 import re
 import time
@@ -69,7 +68,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .circuit import Circuit, Gate, TWO_QUBIT_WEIGHT, UNORDERED_KINDS
+from .circuit import Circuit, Gate, TWO_QUBIT_WEIGHT, UNORDERED_KINDS, _expect
 from .templates import Template, builtin_templates, template_is_identity
 
 _WINDOW = 64
@@ -313,16 +312,17 @@ def match_and_apply(
     identity raises a ``ValueError`` naming its id. ``deadline`` is a
     ``time.monotonic()`` value; once it has passed, the pass returns the
     circuit rewritten so far, which still implements the input; +-inf
-    are accepted. A ``c`` that is not a ``Circuit``, or a ``deadline``
-    that is NaN, a bool or not a real number, raises a ``ValueError``
-    naming it.
+    and ints past the float range are accepted. A ``c`` that is not a
+    ``Circuit``, or a ``deadline`` that is NaN, a bool or not a real
+    number, raises a ``ValueError`` naming it.
     """
-    if not isinstance(c, Circuit):
-        raise ValueError(f"c {c!r} is not a Circuit")
+    _expect(c, Circuit, "c")
+    # deadline != deadline tests for NaN without converting to float,
+    # which overflows on an int past the float range.
     if deadline is not None and (
         not isinstance(deadline, numbers.Real)
         or isinstance(deadline, bool)
-        or math.isnan(deadline)
+        or deadline != deadline
     ):
         raise ValueError(f"deadline {deadline!r} is not a real number")
     if templates is None:
@@ -330,8 +330,7 @@ def match_and_apply(
     else:
         templates = tuple(templates)
         for template in templates:
-            if not isinstance(template, Template):
-                raise ValueError(f"template element {template!r} is not a Template")
+            _expect(template, Template, "template element")
             if not template_is_identity(template):
                 raise ValueError(
                     f"template {template.id!r} is not an identity word"

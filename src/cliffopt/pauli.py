@@ -8,10 +8,9 @@ in this normal form, since Y = i X Z.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .circuit import Gate
+from .circuit import Gate, _expect, _integer, _same_width
 
 _AXIS_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_AXIS = {v: k for k, v in _AXIS_BITS.items()}
@@ -32,19 +31,12 @@ class PauliOperator:
     phase_exp: int = 0
 
     def __post_init__(self) -> None:
-        # operator.index takes int and numpy integers, not 1.5 or "1".
         if not (
             type(self.n) is type(self.x_bits) is type(self.z_bits)
             is type(self.phase_exp) is int
         ):
             for name in ("n", "x_bits", "z_bits", "phase_exp"):
-                value = getattr(self, name)
-                try:
-                    object.__setattr__(self, name, operator.index(value))
-                except TypeError:
-                    raise ValueError(
-                        f"Pauli operand {name}={value!r} is not an integer"
-                    ) from None
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n < 1:
             raise ValueError(f"need at least one qubit, got n={self.n}")
         limit = 1 << self.n
@@ -117,19 +109,14 @@ class PauliOperator:
 
     def axis(self, q: int) -> str:
         """The letter I, X, Y or Z acting on qubit q."""
-        try:
-            operator.index(q)
-        except TypeError:
-            raise ValueError(f"q {q!r} is not an integer") from None
+        q = _integer(q, "q")
         if not 0 <= q < self.n:
             raise ValueError(f"q {q} out of range for {self.n} qubit(s)")
         return _BITS_AXIS[(_bit(self.x_bits, q), _bit(self.z_bits, q))]
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        if not isinstance(other, PauliOperator):
-            raise ValueError(f"other {other!r} is not a PauliOperator")
-        if self.n != other.n:
-            raise ValueError(f"width mismatch: {self.n} vs {other.n}")
+        _expect(other, PauliOperator, "other")
+        _same_width(self.n, other.n)
         return PauliOperator(self.n, *product_bits(
             self.x_bits, self.z_bits, self.phase_exp,
             other.x_bits, other.z_bits, other.phase_exp,
@@ -205,9 +192,7 @@ def anticommute_bits(x1: int, z1: int, x2: int, z2: int) -> bool:
 
 def anticommute(p: PauliOperator, q: PauliOperator) -> bool:
     """True when the two operators anticommute."""
-    for name, op in (("p", p), ("q", q)):
-        if not isinstance(op, PauliOperator):
-            raise ValueError(f"{name} {op!r} is not a PauliOperator")
-    if p.n != q.n:
-        raise ValueError(f"width mismatch: {p.n} vs {q.n}")
+    _expect(p, PauliOperator, "p")
+    _expect(q, PauliOperator, "q")
+    _same_width(p.n, q.n)
     return anticommute_bits(p.x_bits, p.z_bits, q.x_bits, q.z_bits)

@@ -12,10 +12,11 @@ that ``pauli.conjugate_columns`` updates in place.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, PAULI_KINDS, cx, h, swap, x, y, z
+from .circuit import (
+    Circuit, Gate, PAULI_KINDS, _expect, _integer, cx, h, swap, x, y, z
+)
 from .pauli import _AXIS_BITS, PauliOperator, conjugate_columns
 
 
@@ -34,11 +35,10 @@ class StagePartition:
     pauli: PauliOperator
 
     def __post_init__(self) -> None:
-        if not isinstance(self.compute, Circuit):
-            raise ValueError(f"compute {self.compute!r} is not a Circuit")
+        _expect(self.compute, Circuit, "compute")
         n = self.compute.n
         try:
-            perm = tuple(map(operator.index, self.permutation))
+            perm = tuple(_integer(w, "permutation element") for w in self.permutation)
         except TypeError:
             perm = ()
         if sorted(perm) != list(range(n)):
@@ -46,8 +46,7 @@ class StagePartition:
                 f"permutation {self.permutation} does not permute range({n})"
             )
         object.__setattr__(self, "permutation", perm)
-        if not isinstance(self.pauli, PauliOperator):
-            raise ValueError(f"pauli {self.pauli!r} is not a PauliOperator")
+        _expect(self.pauli, PauliOperator, "pauli")
         if self.pauli.n != n:
             raise ValueError(f"pauli has {self.pauli.n} qubit(s), compute {n}")
 
@@ -60,8 +59,7 @@ class StagePartition:
 
 
 def pauli_layer_gates(p: PauliOperator) -> list[Gate]:
-    if not isinstance(p, PauliOperator):
-        raise ValueError(f"p {p!r} is not a PauliOperator")
+    _expect(p, PauliOperator, "p")
     gates = []
     for q in range(p.n):
         axis = p.axis(q)
@@ -90,8 +88,7 @@ def _transpositions(perm) -> list[tuple[int, int]]:
 
 def partition_stages(c: Circuit) -> StagePartition:
     """Factor c into compute, permutation, and Pauli stages."""
-    if not isinstance(c, Circuit):
-        raise ValueError(f"c {c!r} is not a Circuit")
+    _expect(c, Circuit, "c")
     n = c.n
     # The Pauli layer as a one-row tableau: one-bit columns and phase planes.
     px, pz = [0] * n, [0] * n
@@ -137,8 +134,7 @@ def merge_swaps(p: StagePartition) -> Circuit:
     become mergeable, and the scan fuses what repeatedly taking the
     latest mergeable gate would.
     """
-    if not isinstance(p, StagePartition):
-        raise ValueError(f"p {p!r} is not a StagePartition")
+    _expect(p, StagePartition, "p")
     n = p.compute.n
     gates = p.compute.gates
     perm = list(p.permutation)

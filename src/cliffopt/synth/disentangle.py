@@ -25,8 +25,8 @@ any SWAP it contains is its leading gate.
 
 from __future__ import annotations
 
-from ..circuit import Circuit, Gate, cx, h, swap, x, y, z
-from ..pauli import PauliOperator, anticommute, conjugate_columns
+from ..circuit import Circuit, Gate, _expect, _same_width, cx, h, swap, x, y, z
+from ..pauli import PauliOperator, anticommute_bits, conjugate_columns
 
 # Time-ordered single-qubit word standardizing one qubit's (O, O') letters.
 _LOCAL_WORDS: dict[tuple[str, str], tuple[str, ...]] = {
@@ -88,14 +88,12 @@ def _bits(mask: int, start: int = 0) -> list[int]:
 
 
 def _check_pair(o: PauliOperator, o2: PauliOperator) -> None:
-    for name, p in (("o", o), ("o2", o2)):
-        if not isinstance(p, PauliOperator):
-            raise ValueError(f"{name} {p!r} is not a PauliOperator")
-    if o.n != o2.n:
-        raise ValueError(f"width mismatch: {o.n} vs {o2.n}")
+    _expect(o, PauliOperator, "o")
+    _expect(o2, PauliOperator, "o2")
+    _same_width(o.n, o2.n)
     if not (o.is_hermitian and o2.is_hermitian):
         raise ValueError("pair must be Hermitian")
-    if not anticommute(o, o2):
+    if not anticommute_bits(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits):
         raise ValueError(
             f"{o.to_label()} and {o2.to_label()} commute; cannot disentangle"
         )

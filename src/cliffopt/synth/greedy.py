@@ -29,7 +29,7 @@ from bisect import insort
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from ..circuit import Circuit, Gate
+from ..circuit import Circuit, Gate, _expect
 from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits
 from ..tableau import CliffordTableau, _image
 from .disentangle import _class_masks, clean_pair_gates, pair_cost_bits
@@ -122,8 +122,7 @@ def _peel(t: CliffordTableau, step) -> Circuit:
     left gates reduce the pair on qubit j from the output side, and the
     right gates the matching pair from the input side.
     """
-    if not isinstance(t, CliffordTableau):
-        raise ValueError(f"t {t!r} is not a CliffordTableau")
+    _expect(t, CliffordTableau, "t")
     n = t.n
     work = t.copy()
     left: list[Gate] = []

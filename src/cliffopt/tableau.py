@@ -23,10 +23,9 @@ are this rule;
 from __future__ import annotations
 
 import functools
-import operator
 import random
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, _expect, _integer, _same_width
 from .pauli import PauliOperator, anticommute_bits, conjugate_columns, product_bits
 
 
@@ -34,12 +33,7 @@ class CliffordTableau:
     __slots__ = ("n", "_x", "_z", "_e0", "_e1")
 
     def __init__(self, n: int, _x=None, _z=None, _e0: int = 0, _e1: int = 0):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(
-                f"tableau width n={n!r} is not an integer"
-            ) from None
+        n = _integer(n, "tableau width n")
         if n < 1:
             raise ValueError(f"need at least one qubit, got n={n}")
         self.n = n
@@ -71,17 +65,15 @@ class CliffordTableau:
     # ------------------------------------------------------------------
     # Row access
 
-    def _check_row(self, r: int) -> None:
-        try:
-            operator.index(r)
-        except TypeError:
-            raise ValueError(f"row {r!r} is not an integer") from None
+    def _check_row(self, r: int) -> int:
+        r = _integer(r, "row")
         if not 0 <= r < 2 * self.n:
             raise ValueError(f"row {r} out of range")
+        return r
 
     def row_bits(self, r: int) -> tuple[int, int]:
         """(x_bits, z_bits) of row r as qubit-indexed integers."""
-        self._check_row(r)
+        r = self._check_row(r)
         x = z = 0
         for q in range(self.n):
             x |= ((self._x[q] >> r) & 1) << q
@@ -103,7 +95,7 @@ class CliffordTableau:
         ]
 
     def row_phase(self, r: int) -> int:
-        self._check_row(r)
+        r = self._check_row(r)
         return ((self._e0 >> r) & 1) + 2 * ((self._e1 >> r) & 1)
 
     def row(self, r: int) -> PauliOperator:
@@ -113,10 +105,8 @@ class CliffordTableau:
     def conjugate(self, p: PauliOperator) -> PauliOperator:
         """The image U p U^-1 of a Pauli operator, by the rule of ``then``
         with p as the one row."""
-        if not isinstance(p, PauliOperator):
-            raise ValueError(f"p {p!r} is not a PauliOperator")
-        if p.n != self.n:
-            raise ValueError(f"width mismatch: {p.n} vs {self.n}")
+        _expect(p, PauliOperator, "p")
+        _same_width(p.n, self.n)
         image = _image(self._signed_rows(), p.x_bits, p.z_bits, p.phase_exp)
         return PauliOperator(self.n, *image)
 
@@ -129,10 +119,8 @@ class CliffordTableau:
         )
 
     def apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
-        if not isinstance(circuit, Circuit):
-            raise ValueError(f"circuit {circuit!r} is not a Circuit")
-        if circuit.n != self.n:
-            raise ValueError(f"width mismatch: {circuit.n} vs {self.n}")
+        _expect(circuit, Circuit, "circuit")
+        _same_width(circuit.n, self.n)
         out = self.copy()
         for gate in circuit.gates:
             out._apply_inplace(gate)
@@ -150,10 +138,8 @@ class CliffordTableau:
         """Tableau of (other_unitary . self_unitary). Row r is other's image
         of self's row r, and a row of self that is still X_r or Z_{r-n},
         sign included, is simply other's row r."""
-        if not isinstance(other, CliffordTableau):
-            raise ValueError(f"other {other!r} is not a CliffordTableau")
-        if other.n != self.n:
-            raise ValueError(f"width mismatch: {other.n} vs {self.n}")
+        _expect(other, CliffordTableau, "other")
+        _same_width(other.n, self.n)
         n = self.n
         images = other._signed_rows()
         rows = [
@@ -223,8 +209,7 @@ def _transpose_steps(size: int) -> tuple[tuple[int, int], ...]:
 
 def circuit_to_tableau(circuit: Circuit) -> CliffordTableau:
     """The tableau of a circuit's unitary."""
-    if not isinstance(circuit, Circuit):
-        raise ValueError(f"circuit {circuit!r} is not a Circuit")
+    _expect(circuit, Circuit, "circuit")
     return CliffordTableau.identity(circuit.n).apply_circuit(circuit)
 
 

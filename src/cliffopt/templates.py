@@ -9,11 +9,10 @@ the prefix covers more than half the word.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuit import Circuit, Gate, cz, h, s, sdg, swap, z
+from .circuit import Circuit, Gate, _expect, _integer, cz, h, s, sdg, swap, z
 from .tableau import circuit_to_tableau
 
 
@@ -27,18 +26,15 @@ class Template:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        try:
-            size = operator.index(self.size)
-        except TypeError:
-            size = 0
+        size = _integer(self.size, f"template {self.id!r} size")
         if size < 1:
             raise ValueError(
-                f"template {self.id!r}: size {self.size!r} is not a "
-                "positive integer"
+                f"template {self.id!r}: size {size} is not a positive integer"
             )
         object.__setattr__(self, "size", size)
         for g in self.gates:
-            if not isinstance(g, Gate) or max(g.qubits) >= size:
+            _expect(g, Gate, f"template {self.id!r} element")
+            if max(g.qubits) >= size:
                 raise ValueError(
                     f"template {self.id!r}: {g!r} is not a gate on wires "
                     f"0..{size - 1}"

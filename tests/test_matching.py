@@ -264,4 +264,5 @@ def test_non_real_deadline_is_rejected():
             match_and_apply(c, deadline=bad)
     assert match_and_apply(c, deadline=time.monotonic() + 60).gates == ()
     assert match_and_apply(c, deadline=float("inf")).gates == ()
+    assert match_and_apply(c, deadline=10**400).gates == ()
     assert match_and_apply(c, deadline=float("-inf")) == c

@@ -3,11 +3,13 @@ names the operand."""
 
 import random
 
+import numpy as np
 import pytest
 
 from cliffopt import (
     Circuit,
     CliffordTableau,
+    Gate,
     PauliOperator,
     ag_canonical,
     anticommute,
@@ -16,6 +18,7 @@ from cliffopt import (
     disentangler,
     greedy_bidirectional,
     greedy_unidirectional,
+    h,
     random_clifford,
 )
 from cliffopt.stages import merge_swaps, partition_stages, pauli_layer_gates
@@ -52,6 +55,16 @@ X2, Z2 = PauliOperator.from_label("XI"), PauliOperator.from_label("ZI")
         (lambda: X2 * "ZI", "other 'ZI' is not a PauliOperator"),
         (lambda: T.apply_circuit("h 0"), "circuit 'h 0' is not a Circuit"),
         (lambda: X2.axis("a"), "q 'a' is not an integer"),
+        (lambda: Circuit.from_text(b"qubits 1\n"), "text b'qubits 1.* is not a str"),
+        (lambda: Circuit.from_text(None), "text None is not a str"),
+        (lambda: Circuit(2, h(0)), "gates Gate.* is not iterable"),
+        (lambda: Circuit(2, None), "gates None is not iterable"),
+        # A bool is a truth value, not a qubit, a width or a bit mask.
+        (lambda: Gate("cx", (False, True)), "gate 'cx' qubit False is not an integer"),
+        (lambda: CliffordTableau(True), "tableau width n True is not an integer"),
+        (lambda: T.row(True), "row True is not an integer"),
+        (lambda: X2.axis(True), "q True is not an integer"),
+        (lambda: PauliOperator(2, True, 0), "x_bits True is not an integer"),
     ],
 )
 def test_wrong_type_operand_is_named(call, pattern):
@@ -62,3 +75,17 @@ def test_wrong_type_operand_is_named(call, pattern):
 def test_random_subclass_is_accepted():
     c = greedy_bidirectional(T, rng=random.SystemRandom())
     assert circuit_to_tableau(c) == T
+
+
+@pytest.mark.parametrize(
+    "n, r", [(40, np.int64(3)), (32, np.int64(3)), (16, np.int32(20))]
+)
+def test_numpy_row_reads_as_int_at_width(n, r):
+    t = random_clifford(n, 1)
+    assert t.row(r) == t.row(int(r))
+    assert t.row_bits(r) == t.row_bits(int(r))
+    assert t.row_phase(r) == t.row_phase(int(r))
+
+
+def test_numpy_qubit_reads_as_int_at_width():
+    assert PauliOperator(70, 1 << 69, 0).axis(np.int64(69)) == "X"

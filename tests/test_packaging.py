@@ -131,3 +131,36 @@ def test_every_import_is_used():
             rel = path.relative_to(ROOT)
             unused += [f"{rel}: {name}" for name in bound if name not in loaded]
     assert unused == []
+
+
+def _modules_where(found) -> set[str]:
+    src = ROOT / "src" / "cliffopt"
+    return {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if any(map(found, ast.walk(ast.parse(path.read_text(), str(path)))))
+    }
+
+
+def test_operand_rule_lives_in_circuit():
+    # circuit.py alone decides what an integer operand is and words the
+    # width check; every other module calls its helpers.
+    def index(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "operator" and "index" in {
+                a.name for a in node.names
+            }
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "index"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "operator"
+        )
+
+    def width(node):
+        return isinstance(node, ast.Constant) and "width mismatch" in str(
+            node.value
+        )
+
+    assert _modules_where(index) == {"circuit.py"}
+    assert _modules_where(width) == {"circuit.py"}
