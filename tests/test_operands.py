@@ -1,5 +1,5 @@
 """Wrong-type operands of the public entry points raise a ValueError that
-names the operand."""
+names the operand, and numpy integer operands read as ints at any width."""
 
 import random
 
