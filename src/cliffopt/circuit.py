@@ -9,6 +9,13 @@ by. An integer operand is a Python or numpy integer, not a bool, and is
 stored as an int (``_integer``); an operand of the wrong type
 (``_expect``) or two operands of different widths (``_same_width``)
 raise a ``ValueError`` that names the operand and its value.
+
+Gates are interned: the factories, ``Gate.inverse``, ``Gate.relabeled``
+and ``Circuit.from_text`` hand out one object per (kind, operands),
+checked when it is first made (``_gate``). Width n has 2n² + 4n distinct
+gates, well under 9n², so the table stays small while every relabeling
+pass reuses it. ``Gate(...)`` itself still builds a new object. Gates
+compare and hash by value; never compare them with ``is``.
 """
 
 from __future__ import annotations
@@ -71,19 +78,26 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _expect(self.kind, str, "gate kind")
+        try:
+            operands = tuple(self.qubits)
+        except TypeError:
+            raise ValueError(
+                f"gate {self.kind!r} qubits {self.qubits!r} is not iterable"
+            ) from None
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity = GATE_ARITY[self.kind]
-        if len(self.qubits) != arity:
+        if len(operands) != arity:
             raise ValueError(
-                f"gate {self.kind!r} takes {arity} qubit(s), got {self.qubits}"
+                f"gate {self.kind!r} takes {arity} qubit(s), got {operands}"
             )
         qubits = []
-        for q in self.qubits:
+        for q in operands:
             if type(q) is not int:
                 q = _integer(q, f"gate {self.kind!r} qubit")
             if q < 0:
-                raise ValueError(f"negative qubit index in {self.qubits}")
+                raise ValueError(f"negative qubit index in {operands}")
             qubits.append(q)
         if arity == 2:
             if qubits[0] == qubits[1]:
@@ -94,50 +108,83 @@ class Gate:
 
     def inverse(self) -> "Gate":
         kind = _INVERSE_KIND.get(self.kind)
-        return self if kind is None else Gate(kind, self.qubits)
+        return self if kind is None else _gate(kind, self.qubits)
 
     def relabeled(self, mapping) -> "Gate":
         """Return the gate with each qubit ``q`` replaced by ``mapping[q]``."""
-        return Gate(self.kind, tuple(mapping[q] for q in self.qubits))
+        try:
+            qubits = tuple([mapping[q] for q in self.qubits])
+        except LookupError:
+            for q in self.qubits:
+                try:
+                    mapping[q]
+                except LookupError:
+                    raise ValueError(f"gate {self}: qubit {q} is not mapped") from None
+            raise
+        return _gate(self.kind, qubits)
 
     def __str__(self) -> str:
         return " ".join([self.kind, *map(str, self.qubits)])
 
 
+_GATES: dict[tuple[str, tuple[int, ...]], Gate] = {}
+
+
+def _gate(kind: str, qubits: tuple) -> Gate:
+    """The one stored Gate(kind, qubits), built on first use.
+
+    Only Python int operands are looked up: a bool or a numpy integer
+    equals and hashes like an int, so it goes to Gate, which rejects the
+    bool and builds a new gate from the numpy integer. Every stored gate
+    has arity 1 or 2, so its first and last operands are all of them.
+    A CZ or SWAP is stored under its operands as passed and as sorted,
+    both keys naming one gate.
+    """
+    if qubits and type(qubits[0]) is int and type(qubits[-1]) is int:
+        key = (kind, qubits)
+        gate = _GATES.get(key)
+        if gate is None:
+            gate = Gate(kind, qubits)
+            gate = _GATES.setdefault((kind, gate.qubits), gate)
+            _GATES[key] = gate
+        return gate
+    return Gate(kind, qubits)
+
+
 def h(q: int) -> Gate:
-    return Gate("h", (q,))
+    return _gate("h", (q,))
 
 
 def s(q: int) -> Gate:
-    return Gate("s", (q,))
+    return _gate("s", (q,))
 
 
 def sdg(q: int) -> Gate:
-    return Gate("sdg", (q,))
+    return _gate("sdg", (q,))
 
 
 def x(q: int) -> Gate:
-    return Gate("x", (q,))
+    return _gate("x", (q,))
 
 
 def y(q: int) -> Gate:
-    return Gate("y", (q,))
+    return _gate("y", (q,))
 
 
 def z(q: int) -> Gate:
-    return Gate("z", (q,))
+    return _gate("z", (q,))
 
 
 def cx(control: int, target: int) -> Gate:
-    return Gate("cx", (control, target))
+    return _gate("cx", (control, target))
 
 
 def cz(a: int, b: int) -> Gate:
-    return Gate("cz", (a, b))
+    return _gate("cz", (a, b))
 
 
 def swap(a: int, b: int) -> Gate:
-    return Gate("swap", (a, b))
+    return _gate("swap", (a, b))
 
 
 @dataclass(frozen=True)
@@ -241,7 +288,7 @@ class Circuit:
                     )
                 qubits.append(q)
             try:
-                gates.append(Gate(parts[0], tuple(qubits)))
+                gates.append(_gate(parts[0], tuple(qubits)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         if n is None:

@@ -58,6 +58,7 @@ class PauliOperator:
         prefix ``+``, ``-``, ``i`` or ``-i`` sets the overall phase; Y
         letters contribute their own factor of i on top of it.
         """
+        _expect(label, str, "label")
         body = label
         phase = 0
         for prefix, value in (("-i", 3), ("+", 0), ("-", 2), ("i", 1)):

@@ -25,7 +25,9 @@ any SWAP it contains is its leading gate.
 
 from __future__ import annotations
 
-from ..circuit import Circuit, Gate, _expect, _same_width, cx, h, swap, x, y, z
+from ..circuit import (
+    Circuit, Gate, _expect, _gate, _same_width, cx, h, swap, x, y, z
+)
 from ..pauli import PauliOperator, anticommute_bits, conjugate_columns
 
 # Time-ordered single-qubit word standardizing one qubit's (O, O') letters.
@@ -116,7 +118,7 @@ def clean_pair_gates(
     anchor = a[0]
     # The standard form: one local word per supported qubit.
     gates = [
-        Gate(kind, (q,))
+        _gate(kind, (q,))
         for q in support
         for kind in _LOCAL_WORDS[(o.axis(q), o2.axis(q))]
     ]

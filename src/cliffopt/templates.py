@@ -25,7 +25,12 @@ class Template:
     size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
+        try:
+            object.__setattr__(self, "gates", tuple(self.gates))
+        except TypeError:
+            raise ValueError(
+                f"template {self.id!r} gates {self.gates!r} is not iterable"
+            ) from None
         size = _integer(self.size, f"template {self.id!r} size")
         if size < 1:
             raise ValueError(
