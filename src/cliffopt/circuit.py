@@ -131,14 +131,13 @@ _GATES: dict[tuple[str, tuple[int, ...]], Gate] = {}
 
 
 def _gate(kind: str, qubits: tuple) -> Gate:
-    """The one stored Gate(kind, qubits), built on first use.
+    """The one stored Gate(kind, qubits), built and checked on first use.
 
-    Only Python int operands are looked up: a bool or a numpy integer
-    equals and hashes like an int, so it goes to Gate, which rejects the
-    bool and builds a new gate from the numpy integer. Every stored gate
-    has arity 1 or 2, so its first and last operands are all of them.
-    A CZ or SWAP is stored under its operands as passed and as sorted,
-    both keys naming one gate.
+    Only int operands are looked up: a bool or a numpy integer equals
+    and hashes like an int, so it goes to Gate, which rejects the bool.
+    A stored gate has arity 1 or 2, so its first and last operands are
+    all of them. A CZ or SWAP is stored under its operands as passed and
+    as sorted, both keys naming one gate.
     """
     if qubits and type(qubits[0]) is int and type(qubits[-1]) is int:
         key = (kind, qubits)

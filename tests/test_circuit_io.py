@@ -121,6 +121,41 @@ def test_relabeled():
     assert c.gates == (cx(2, 1), h(0))
 
 
+@pytest.mark.parametrize(
+    "call, pattern",
+    [
+        (lambda: Circuit(2, (cx(0, 1),)).relabeled([0]), "cx 0 1: qubit 1 "),
+        (lambda: h(0).relabeled({}), "h 0: qubit 0 "),
+    ],
+)
+def test_relabel_miss_names_the_qubit(call, pattern):
+    with pytest.raises(ValueError, match=pattern + "is not mapped"):
+        call()
+
+
+def test_gates_are_interned():
+    # The factories, inverse, relabeled and from_text hand out one object
+    # per (kind, operands); Gate(...) still builds a new, equal one.
+    assert cz(1, 0) is cz(0, 1)
+    assert s(2).inverse() is sdg(2)
+    assert cx(0, 1).relabeled([1, 0]) is cx(1, 0)
+    c = Circuit.from_text("qubits 2\nh 1\ncx 0 1\nh 1\n")
+    assert c.gates[0] is c.gates[2]
+    assert Gate("h", (1,)) is not h(1) and Gate("h", (1,)) == h(1)
+
+
+def test_interning_keeps_operand_checks():
+    # A bool or a numpy integer equals and hashes like an int, so it must
+    # not find the stored int gate.
+    cx(0, 1)
+    with pytest.raises(ValueError, match="qubit False is not an integer"):
+        cx(False, True)
+    with pytest.raises(ValueError, match="qubit True is not an integer"):
+        h(0).relabeled([True])
+    g = h(np.int64(3))
+    assert g == h(3) and type(g.qubits[0]) is int
+
+
 def test_text_roundtrip():
     text = SAMPLE.to_text()
     assert text.startswith("qubits 3\n")

@@ -22,6 +22,7 @@ from cliffopt import (
     random_clifford,
 )
 from cliffopt.stages import merge_swaps, partition_stages, pauli_layer_gates
+from cliffopt.templates import Template
 
 T = random_clifford(3, 1)
 X2, Z2 = PauliOperator.from_label("XI"), PauliOperator.from_label("ZI")
@@ -65,6 +66,10 @@ X2, Z2 = PauliOperator.from_label("XI"), PauliOperator.from_label("ZI")
         (lambda: T.row(True), "row True is not an integer"),
         (lambda: X2.axis(True), "q True is not an integer"),
         (lambda: PauliOperator(2, True, 0), "x_bits True is not an integer"),
+        (lambda: Gate("h", 0), "gate 'h' qubits 0 is not iterable"),
+        (lambda: Gate(["h"], (0,)), r"gate kind \['h'\] is not a str"),
+        (lambda: Template("t", None, 1), "template 't' gates None is not iterable"),
+        (lambda: PauliOperator.from_label(None), "label None is not a str"),
     ],
 )
 def test_wrong_type_operand_is_named(call, pattern):

@@ -164,3 +164,17 @@ def test_operand_rule_lives_in_circuit():
 
     assert _modules_where(index) == {"circuit.py"}
     assert _modules_where(width) == {"circuit.py"}
+
+
+def test_gates_are_made_in_circuit():
+    # Every other module makes gates through circuit.py's factories and
+    # _gate, which build and check each distinct gate once.
+    def builds_gate(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "Gate") or (
+            isinstance(func, ast.Attribute) and func.attr == "Gate"
+        )
+
+    assert _modules_where(builds_gate) == {"circuit.py"}
