@@ -119,7 +119,9 @@ class Gate:
                 try:
                     mapping[q]
                 except LookupError:
-                    raise ValueError(f"gate {self}: qubit {q} is not mapped") from None
+                    raise ValueError(
+                        f"gate {self}: qubit {q} is not mapped"
+                    ) from None
             raise
         return _gate(self.kind, qubits)
 
