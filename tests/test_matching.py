@@ -11,9 +11,10 @@ from cliffopt import (
     Circuit,
     circuit_to_tableau,
     cx,
-    cx,
     cz,
+    greedy_unidirectional,
     h,
+    random_clifford,
     s,
     sdg,
     swap,
@@ -22,6 +23,7 @@ from cliffopt import (
     z,
 )
 from cliffopt.matching import _WINDOW, match_and_apply
+from cliffopt.stages import merge_swaps, partition_stages
 from cliffopt.templates import (
     Template,
     builtin_templates,
@@ -186,6 +188,56 @@ def test_wide_cz_form_outputs_match_recorded_digest():
         digest.update(match_and_apply(Circuit(n, gates)).to_text().encode())
     assert digest.hexdigest() == (
         "f7d687b43e8093c0948dca32672d99d117d15ec02b7b25796a8c996940114eaf"
+    )
+
+
+def test_caller_templates_outputs_match_recorded_digest():
+    # The built-in rotations search a CX nowhere and a two-qubit gate
+    # with at most one wire bound rarely. These caller templates add
+    # searches for a CX, a SWAP and a CZ on no, one or two bound wires,
+    # a CX bound on either its control or its target, and one-qubit
+    # gates on free wires below a root. The digest was
+    # recorded before each trie node resolved its search shape when the
+    # trie was built.
+    extra = (
+        Template("h_cz", (h(0), cz(1, 2), h(0), cz(1, 2)), 3),
+        Template("double_cx", (cx(0, 1), cx(0, 1)), 2),
+        Template("double_swap", (swap(0, 1), swap(0, 1)), 2),
+        Template("xzy", (x(0), z(0), y(0)), 1),
+        Template("x_cx", (x(1), cx(0, 1), x(1), cx(0, 1)), 2),
+        Template("z_cx", (z(0), cx(0, 1), z(0), cx(0, 1)), 2),
+    )
+    assert all(template_is_identity(t) for t in extra)
+    templates = builtin_templates() + extra
+    rng = random.Random(3)
+    digest = hashlib.sha256()
+    for _ in range(30):
+        n = rng.randrange(2, 9)
+        c = random_circuit(rng, n, rng.randrange(20, 161))
+        out = match_and_apply(c, templates)
+        assert circuit_to_tableau(out) == circuit_to_tableau(c)
+        digest.update(out.to_text().encode())
+    assert digest.hexdigest() == (
+        "8ec8b27eb405ae4b6fd4ddf8d50a922aa9b26007f2fba8016e26de6f5a43f271"
+    )
+
+
+def test_synthesized_outputs_match_recorded_digest():
+    # Merged unidirectional output holds H, S, S-dagger and CX, as the
+    # matcher sees it on wide Clifford input. No template fires there, so
+    # the digest pins that no search finds a false match. It was recorded
+    # before each trie node resolved its search shape when the trie was
+    # built.
+    digest = hashlib.sha256()
+    for n in (16, 24):
+        for seed in (1, 2):
+            merged = merge_swaps(
+                partition_stages(greedy_unidirectional(random_clifford(n, seed)))
+            )
+            assert {g.kind for g in merged.gates} & {"cx"}
+            digest.update(match_and_apply(merged).to_text().encode())
+    assert digest.hexdigest() == (
+        "6a81689383d403b709055d37f50fbff264186c1ca4cc4283d5a1abba325b0752"
     )
 
 
