@@ -43,19 +43,25 @@ left out while a gate of its shortest licensing prefix has a kind the
 circuit never held (that set only grows); and a sweep skips a position
 that found no rewrite and whose window has not changed since.
 
-A one-qubit gate whose wire is bound to qubit q can only match or be
-stopped by a gate on q, so its search walks q alone. Each (kind,
-operand) pair has a wire code from 1 to 12, and q's column holds the
-code of every gate on q and 0 for a gate off it. A search for the kind
-finds the first gate in q's column that has the kind's own code or a
-class blocked there, and matches only if that gate has the own code.
-Every gate on q before it has the kind's class, so it passes, and a
-gate off q cannot raise q's pending bits, so the pending masks at the
-match are the start's ORed with the stepped-over gates' added bits.
-Two-qubit, partially bound and root searches keep the plain scan: a
-walk over two columns, or an index of positions per kind rebuilt after
-each rewrite, measured slower on circuit input than stepping over the
-window.
+A trie node is reached by one path, so which wires of its gate are
+bound when it searches is known when the trie is built, and the node
+holds the search that follows, one of five shapes. A one-qubit gate
+whose wire is bound to qubit q can only match or be stopped by a gate
+on q, so its search walks q alone. Each (kind, operand) pair has a wire
+code from 1 to 12, and q's column holds the code of every gate on q and
+0 for a gate off it. A search for the kind finds the first gate in q's
+column that has the kind's own code or a class blocked there, and
+matches only if that gate has the own code. Every gate on q before it
+has the kind's class, so it passes, and a gate off q cannot raise q's
+pending bits, so the pending masks at the match are the start's ORed
+with the stepped-over gates' added bits. The other shapes step over
+the window. A two-qubit gate with both wires bound matches a gate of
+its kind on their qubits; with one bound, a gate of its kind on that
+wire's qubit; with none bound, as a one-qubit gate on a free wire, any
+gate of its kind. A wire new to the match takes only an unbound qubit,
+tested on a bitmask of the bound qubits. A walk over two columns, or an
+index of positions per kind rebuilt after each rewrite, measured slower
+on circuit input.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ import re
 import time
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .circuit import Circuit, Gate, TWO_QUBIT_WEIGHT, UNORDERED_KINDS, _expect
 from .templates import Template, builtin_templates, template_is_identity
@@ -108,6 +114,11 @@ _STEP = {
     for k, cs in _CLASSES.items() if len(cs) == 1
 }
 
+# Search shapes, indexed by 2 * arity - 2 plus the number of bound wires:
+# a one-qubit gate on a free or a bound wire, and a two-qubit gate with
+# no, one or both wires bound.
+_ONE_FREE, _ONE_BOUND, _NONE_BOUND, _ONE_OF_TWO, _BOTH_BOUND = range(5)
+
 # A scored match: (delta, -p, rotation index, rotation). Indices are
 # unique, so comparisons never reach the rotation. Every improving delta
 # is below (0, 0), so _NO_SCORE is above every score.
@@ -148,20 +159,40 @@ def _rotations(templates: Iterable[Template]) -> Iterator[tuple[Gate, ...]]:
 
 
 class _Node:
-    """A trie node: the last gate of a rotation prefix (None at a root).
+    """A trie node: the last gate of a rotation prefix (none at a root).
 
     ``full`` scores the rotation that ends here, matched whole; ``stop``
     the best of those below whose match ends before this gate, as its
     search failed, or _NO_SCORE when none licenses an improvement;
     ``best`` the best ``full`` in the subtree, below every score there.
+
+    A node is reached by one path, so the wires of its gate that a gate
+    above it touches, ``bound``, are bound whenever it searches, and the
+    node holds the search that follows: its ``shape``, the gate's
+    ``wires``, bound ones first, with ``pos`` the operand index of the
+    first, the ``blocks`` each bound wire's qubit must not have pending
+    (0 for a free wire), and a one-qubit kind's ``code`` and ``step``.
     """
 
-    __slots__ = ("gate", "children", "full", "stop", "best")
+    __slots__ = (
+        "children", "full", "stop", "best", "kind", "unordered", "shape",
+        "wires", "blocks", "pos", "code", "step",
+    )
 
-    def __init__(self, gate: Gate | None) -> None:
-        self.gate = gate
+    def __init__(self, gate: Gate | None = None, bound: Container[int] = ()):
         self.children: dict[Gate, _Node] = {}
         self.full = self.stop = self.best = _NO_SCORE
+        if gate is not None:
+            kind, qs = gate.kind, gate.qubits
+            self.kind, self.unordered = kind, kind in UNORDERED_KINDS
+            order = sorted(range(len(qs)), key=lambda k: qs[k] not in bound)
+            self.pos = order[0]
+            self.wires = tuple(qs[k] for k in order)
+            self.blocks = tuple(
+                _BLOCKS[kind][k] if qs[k] in bound else 0 for k in order
+            )
+            self.shape = 2 * len(qs) - 2 + sum(w in bound for w in qs)
+            self.code, self.step = _CODES[kind][0], _STEP.get(kind)
 
 
 @lru_cache(maxsize=8)
@@ -176,9 +207,12 @@ def _trie(
         m = len(rot)
         if not present.issuperset(g.kind for g in rot[1:(m + 1) // 2]):
             continue
-        path = [roots.setdefault(rot[0].kind, _Node(None))]
+        path = [roots.setdefault(rot[0].kind, _Node())]
+        touched: set[int] = set()
         for g in rot:
-            path.append(path[-1].children.setdefault(g, _Node(g)))
+            node = path[-1].children.get(g) or _Node(g, touched)
+            path.append(path[-1].children.setdefault(g, node))
+            touched.update(g.qubits)
         weights = [TWO_QUBIT_WEIGHT.get(g.kind, 0) for g in rot]
         for p in range((m + 1) // 2, m):
             delta = (sum(weights[p:]) - sum(weights[:p]), m - 2 * p)
@@ -218,71 +252,81 @@ def _best_match(
     # root and binds it, so the first search returns i.
     end = min(len(info), i + _WINDOW)
 
-    def search(node, last, binding, pending):
+    def search(node, last, binding, used, pending):
         """The first position after last that matches node's gate, with
-        the binding and pending masks there, or None. A gate whose wires
-        are all bound matches only on their qubits, keeping the binding."""
-        t_kind, wires = node.gate.kind, node.gate.qubits
-        # The pending bits on the bound qubits that keep any gate from
-        # matching; masks only grow, so then the search is over.
-        forbid = 0
-        bound = []
-        for w, block in zip(wires, _BLOCKS[t_kind]):
-            q = binding.get(w)
-            if q is not None:
-                forbid |= block << 4 * q
-                bound.append(q)
-        if pending & forbid:
-            return None
-        if len(wires) == 1 and bound:
-            col = cols[bound[0]]
-            m = _STEP[t_kind].search(col, last + 1, end)
-            if m is None or col[j := m.start()] != _CODES[t_kind][0]:
+        the binding, the bitmask of bound qubits and the pending masks
+        there, or None. Pending bits on a bound qubit that keep the gate
+        from matching end the search, as masks only grow."""
+        shape, kind = node.shape, node.kind
+        if shape == _ONE_BOUND:
+            q = binding[node.wires[0]]
+            if pending >> 4 * q & node.blocks[0]:
                 return None
-            return j, binding, reduce(or_, adds[last + 1:j], pending)
-        unordered = t_kind in UNORDERED_KINDS
-        target = None
-        if len(bound) == len(wires):
-            # Circuit gates hold CZ and SWAP operands sorted.
-            target = tuple(sorted(bound) if unordered else bound)
-        for j in range(last + 1, end):
-            kind, qs, add, blk = info[j]
-            if kind == t_kind and not pending & blk:
-                if target is not None:
-                    if qs == target:
-                        return j, binding, pending
-                elif not bound or bound[0] in qs:
-                    used = set(binding.values())
-                    # The first orientation that fits the binding binds.
-                    for o in (qs, qs[::-1]) if unordered else (qs,):
-                        if all(
-                            binding.get(w, q) == q for w, q in zip(wires, o)
-                        ) and used.isdisjoint(
-                            q for w, q in zip(wires, o) if w not in binding
-                        ):
-                            return j, {**binding, **dict(zip(wires, o))}, pending
-            pending |= add
+            col = cols[q]
+            m = node.step.search(col, last + 1, end)
+            if m is None or col[j := m.start()] != node.code:
+                return None
+            return j, binding, used, reduce(or_, adds[last + 1:j], pending)
+        if shape >= _ONE_OF_TWO:
+            qa, qb = binding[node.wires[0]], binding.get(node.wires[1], 0)
+            forbid = node.blocks[0] << 4 * qa | node.blocks[1] << 4 * qb
             if pending & forbid:
                 return None
+        if shape == _BOTH_BOUND:
+            # Circuit gates hold CZ and SWAP operands sorted. A gate on
+            # these qubits blocks on forbid alone, so it matches here.
+            target = (qb, qa) if node.unordered and qb < qa else (qa, qb)
+            for j in range(last + 1, end):
+                k, qs, add, blk = info[j]
+                if qs == target and k == kind:
+                    return j, binding, used, pending
+                pending |= add
+                if pending & forbid:
+                    return None
+        elif shape == _ONE_OF_TWO:
+            # The first orientation that fits binds: for a CZ or SWAP, the
+            # one with the bound qubit on the bound wire.
+            pos, unordered, wb = node.pos, node.unordered, node.wires[1]
+            for j in range(last + 1, end):
+                k, qs, add, blk = info[j]
+                if k == kind and qa in qs and not pending & blk:
+                    q = qs[qs[0] == qa]
+                    if (unordered or qs[pos] == qa) and not used >> q & 1:
+                        return j, {**binding, wb: q}, used | 1 << q, pending
+                pending |= add
+                if pending & forbid:
+                    return None
+        else:
+            # No wire bound: the operands bind in order, as a CZ or SWAP
+            # fits in its other orientation only if it fits in this one.
+            for j in range(last + 1, end):
+                k, qs, add, blk = info[j]
+                if k == kind and not pending & blk:
+                    bits = 1 << qs[0] | 1 << qs[-1]
+                    if not used & bits:
+                        trial = {**binding, **dict(zip(node.wires, qs))}
+                        return j, trial, used | bits, pending
+                pending |= add
         return None
 
-    def walk(node, last, matched, binding, pending, best):
+    def walk(node, last, matched, binding, used, pending, best):
         """The better of best and the best match below node, whose
-        prefix matched these positions with this binding and pending."""
+        prefix matched these positions with this binding, these bound
+        qubits and this pending."""
         if node.full < best[0]:
             best = node.full, matched, binding
         for child in node.children.values():
             if not child.best < best[0]:
                 continue
-            found = search(child, last, binding, pending)
+            found = search(child, last, binding, used, pending)
             if found is not None:
-                j, trial, after = found
-                best = walk(child, j, matched + (j,), trial, after, best)
+                j, trial, now, after = found
+                best = walk(child, j, matched + (j,), trial, now, after, best)
             elif child.stop < best[0]:
                 best = child.stop, matched, binding
         return best
 
-    best = walk(root, i - 1, (), {}, 0, (_NO_SCORE, (), {}))
+    best = walk(root, i - 1, (), {}, 0, 0, (_NO_SCORE, (), {}))
     del walk  # it refers to itself; the cycle would keep info alive
     return best if best[0] is not _NO_SCORE else None
 

@@ -1,5 +1,6 @@
 """Template rewriting engine: matches, movability, and equivalence."""
 
+import collections
 import hashlib
 import itertools
 import random
@@ -22,7 +23,20 @@ from cliffopt import (
     y,
     z,
 )
-from cliffopt.matching import _WINDOW, match_and_apply
+from cliffopt.circuit import GATE_ARITY, UNORDERED_KINDS
+from cliffopt.matching import (
+    _BLOCKS,
+    _BOTH_BOUND,
+    _CODES,
+    _NONE_BOUND,
+    _ONE_BOUND,
+    _ONE_FREE,
+    _ONE_OF_TWO,
+    _STEP,
+    _WINDOW,
+    _trie,
+    match_and_apply,
+)
 from cliffopt.stages import merge_swaps, partition_stages
 from cliffopt.templates import (
     Template,
@@ -102,6 +116,17 @@ def test_binding_is_injective():
     c = Circuit(3, (cz(0, 1), cz(0, 2)))
     out = match_and_apply(c, _by_id("double_cz"))
     assert out == c
+    # A wire new to the match never takes a qubit bound to another wire,
+    # whether the gate's other wire is bound or not. Each template needs
+    # three qubits for a match, so on two qubits nothing is rewritten.
+    path = Template("cz_path", (cz(0, 1), cz(1, 2), cz(0, 1), cz(1, 2)), 3)
+    h_cz = Template("h_cz", (h(0), cz(1, 2), h(0), cz(1, 2)), 3)
+    for t, c in (
+        (path, Circuit(2, (cz(0, 1),) * 4)),
+        (h_cz, Circuit(2, (h(0), cz(0, 1)) * 2)),
+    ):
+        assert template_is_identity(t)
+        assert match_and_apply(c, (t,)) == c, t.id
 
 
 def test_partial_match_uses_inverted_remainder():
@@ -239,6 +264,47 @@ def test_synthesized_outputs_match_recorded_digest():
     assert digest.hexdigest() == (
         "6a81689383d403b709055d37f50fbff264186c1ca4cc4283d5a1abba325b0752"
     )
+
+
+def test_trie_nodes_hold_the_search_shape_of_their_path():
+    # A node's gate searches with the wires bound that the gates on its
+    # path from the root touch. Recompute that for every node.
+    shapes = {
+        (1, 0): _ONE_FREE, (1, 1): _ONE_BOUND,
+        (2, 0): _NONE_BOUND, (2, 1): _ONE_OF_TWO, (2, 2): _BOTH_BOUND,
+    }
+    roots = _trie(builtin_templates(), frozenset(GATE_ARITY))
+    stack = [(root, frozenset(), 0) for root in roots.values()]
+    seen = set()
+    counts = collections.Counter()
+    while stack:
+        node, bound, depth = stack.pop()
+        assert id(node) not in seen
+        seen.add(id(node))
+        for g, child in node.children.items():
+            on = [w in bound for w in g.qubits]
+            assert child.shape == shapes[len(on), sum(on)], g
+            assert child.kind == g.kind
+            assert child.unordered == (g.kind in UNORDERED_KINDS)
+            assert sorted(child.wires) == sorted(g.qubits)
+            assert child.wires[0] == g.qubits[child.pos]
+            if any(on):
+                assert child.wires[0] in bound
+            for w, block in zip(child.wires, child.blocks):
+                k = g.qubits.index(w)
+                assert block == (_BLOCKS[g.kind][k] if w in bound else 0)
+            assert child.code == _CODES[g.kind][0]
+            assert child.step is _STEP.get(g.kind)
+            counts[child.shape, depth > 0] += 1
+            stack.append((child, bound | set(g.qubits), depth + 1))
+    # A root's children search with nothing bound. Below them, 25 nodes
+    # search a two-qubit gate with one wire bound and one with none.
+    assert counts == {
+        (_ONE_FREE, False): 7, (_NONE_BOUND, False): 4,
+        (_ONE_FREE, True): 10, (_ONE_BOUND, True): 501,
+        (_NONE_BOUND, True): 1, (_ONE_OF_TWO, True): 25,
+        (_BOTH_BOUND, True): 261,
+    }
 
 
 def test_window_edge_on_one_wire():
