@@ -221,9 +221,8 @@ def test_caller_templates_outputs_match_recorded_digest():
     # with at most one wire bound rarely. These caller templates add
     # searches for a CX, a SWAP and a CZ on no, one or two bound wires,
     # a CX bound on either its control or its target, and one-qubit
-    # gates on free wires below a root. The digest was
-    # recorded before each trie node resolved its search shape when the
-    # trie was built.
+    # gates on free wires below a root. The digest was recorded before
+    # each trie node resolved its search shape when the trie was built.
     extra = (
         Template("h_cz", (h(0), cz(1, 2), h(0), cz(1, 2)), 3),
         Template("double_cx", (cx(0, 1), cx(0, 1)), 2),
@@ -259,7 +258,7 @@ def test_synthesized_outputs_match_recorded_digest():
             merged = merge_swaps(
                 partition_stages(greedy_unidirectional(random_clifford(n, seed)))
             )
-            assert {g.kind for g in merged.gates} & {"cx"}
+            assert any(g.kind == "cx" for g in merged.gates)
             digest.update(match_and_apply(merged).to_text().encode())
     assert digest.hexdigest() == (
         "6a81689383d403b709055d37f50fbff264186c1ca4cc4283d5a1abba325b0752"
