@@ -37,9 +37,8 @@ is two integer operations.
 
 Prunes skip only work that cannot change the rewrite applied: a search
 stops once no later gate can match (on a bound wire a match may pass
-only its own class, and pending masks only grow); a subtree whose best
-score cannot beat the best match found is not walked; a rotation is
-left out while a gate of its shortest licensing prefix has a kind the
+only its own class, and pending masks only grow); a rotation is left
+out while a gate of its shortest licensing prefix has a kind the
 circuit never held (that set only grows); and a sweep skips a position
 that found no rewrite and whose window has not changed since.
 
@@ -75,7 +74,7 @@ from operator import or_
 from typing import Container, Iterable, Iterator, Sequence
 
 from .circuit import Circuit, Gate, TWO_QUBIT_WEIGHT, UNORDERED_KINDS, _expect
-from .templates import Template, builtin_templates, template_is_identity
+from .templates import Template, builtin_templates
 
 _WINDOW = 64
 
@@ -163,8 +162,7 @@ class _Node:
 
     ``full`` scores the rotation that ends here, matched whole; ``stop``
     the best of those below whose match ends before this gate, as its
-    search failed, or _NO_SCORE when none licenses an improvement;
-    ``best`` the best ``full`` in the subtree, below every score there.
+    search failed, or _NO_SCORE when none licenses an improvement.
 
     A node is reached by one path, so the wires of its gate that a gate
     above it touches, ``bound``, are bound whenever it searches, and the
@@ -175,13 +173,13 @@ class _Node:
     """
 
     __slots__ = (
-        "children", "full", "stop", "best", "kind", "unordered", "shape",
-        "wires", "blocks", "pos", "code", "step",
+        "children", "full", "stop", "kind", "unordered", "shape", "wires",
+        "blocks", "pos", "code", "step",
     )
 
     def __init__(self, gate: Gate | None = None, bound: Container[int] = ()):
         self.children: dict[Gate, _Node] = {}
-        self.full = self.stop = self.best = _NO_SCORE
+        self.full = self.stop = _NO_SCORE
         if gate is not None:
             kind, qs = gate.kind, gate.qubits
             self.kind, self.unordered = kind, kind in UNORDERED_KINDS
@@ -222,11 +220,7 @@ def _trie(
             ):
                 score = (delta, -p, index, rot)
                 path[p + 1].stop = min(score, path[p + 1].stop)
-        # delta falls as p grows, so a rotation matched whole scores below
-        # any of its shorter matches.
         path[m].full = ((-sum(weights), -m), -m, index, rot)
-        for node in path:
-            node.best = min(path[m].full, node.best)
     return roots
 
 
@@ -316,8 +310,6 @@ def _best_match(
         if node.full < best[0]:
             best = node.full, matched, binding
         for child in node.children.values():
-            if not child.best < best[0]:
-                continue
             found = search(child, last, binding, used, pending)
             if found is not None:
                 j, trial, now, after = found
@@ -352,13 +344,13 @@ def match_and_apply(
     when it finds no rewrite, and unsettles when a rewrite changes its
     window.
 
-    Caller templates are checked first: one whose word is not the
-    identity raises a ``ValueError`` naming its id. ``deadline`` is a
-    ``time.monotonic()`` value; once it has passed, the pass returns the
-    circuit rewritten so far, which still implements the input; +-inf
-    and ints past the float range are accepted. A ``c`` that is not a
-    ``Circuit``, or a ``deadline`` that is NaN, a bool or not a real
-    number, raises a ``ValueError`` naming it.
+    Caller templates are checked when they are made (``Template``).
+    ``deadline`` is a ``time.monotonic()`` value; once it has passed,
+    the pass returns the circuit rewritten so far, which still
+    implements the input; +-inf and ints past the float range are
+    accepted. A ``c`` that is not a ``Circuit``, ``templates`` that are
+    not iterable or hold a non-``Template``, or a ``deadline`` that is
+    NaN, a bool or not a real number, raises a ``ValueError`` naming it.
     """
     _expect(c, Circuit, "c")
     # deadline != deadline tests for NaN without converting to float,
@@ -372,13 +364,12 @@ def match_and_apply(
     if templates is None:
         templates = builtin_templates()
     else:
-        templates = tuple(templates)
+        try:
+            templates = tuple(templates)
+        except TypeError:
+            raise ValueError(f"templates {templates!r} is not iterable") from None
         for template in templates:
             _expect(template, Template, "template element")
-            if not template_is_identity(template):
-                raise ValueError(
-                    f"template {template.id!r} is not an identity word"
-                )
     gates: list[Gate] = []
     info: list[tuple] = []
     adds: list[int] = []

@@ -26,7 +26,7 @@ any SWAP it contains is its leading gate.
 from __future__ import annotations
 
 from ..circuit import (
-    Circuit, Gate, _expect, _gate, _same_width, cx, h, swap, x, y, z
+    Circuit, Gate, _expect, _gate, _integer, _same_width, cx, h, swap, x, y, z
 )
 from ..pauli import PauliOperator, anticommute_bits, conjugate_columns
 
@@ -110,6 +110,7 @@ def clean_pair_gates(
     trailing SWAP moves it there. The CX count is ``pair_cost_bits``.
     """
     _check_pair(o, o2)
+    target = _integer(target, "target")
     if not 0 <= target < o.n:
         raise ValueError(f"target {target} out of range")
     masks = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)

@@ -12,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuit import Circuit, Gate, _expect, _integer, cz, h, s, sdg, swap, z
+from .circuit import Circuit, Gate, cz, h, s, sdg, swap, z
 from .tableau import circuit_to_tableau
 
 
 @dataclass(frozen=True)
 class Template:
-    """An identity gate word on wires 0..size-1."""
+    """An identity gate word on wires 0..size-1, valid once made: the
+    word must be a ``Circuit`` of width ``size`` that multiplies out to
+    the identity, or a ``ValueError`` names the template's id."""
 
     id: str
     gates: tuple[Gate, ...]
@@ -26,24 +28,13 @@ class Template:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "gates", tuple(self.gates))
-        except TypeError:
-            raise ValueError(
-                f"template {self.id!r} gates {self.gates!r} is not iterable"
-            ) from None
-        size = _integer(self.size, f"template {self.id!r} size")
-        if size < 1:
-            raise ValueError(
-                f"template {self.id!r}: size {size} is not a positive integer"
-            )
-        object.__setattr__(self, "size", size)
-        for g in self.gates:
-            _expect(g, Gate, f"template {self.id!r} element")
-            if max(g.qubits) >= size:
-                raise ValueError(
-                    f"template {self.id!r}: {g!r} is not a gate on wires "
-                    f"0..{size - 1}"
-                )
+            word = Circuit(self.size, self.gates)
+        except ValueError as exc:
+            raise ValueError(f"template {self.id!r} {exc}") from None
+        object.__setattr__(self, "gates", word.gates)
+        object.__setattr__(self, "size", word.n)
+        if not template_is_identity(self):
+            raise ValueError(f"template {self.id!r} is not an identity word")
 
 
 @lru_cache(maxsize=1)

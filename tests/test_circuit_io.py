@@ -93,6 +93,8 @@ def test_circuit_counts():
 
 
 def test_circuit_validation():
+    # Gates given as a list are stored as a tuple.
+    assert Circuit(2, [h(0)]).gates == (h(0),)
     with pytest.raises(ValueError):
         Circuit(0, ())
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from cliffopt import (
     disentangle_cost,
     disentangler,
 )
-from cliffopt.synth.disentangle import pair_cost_bits
+from cliffopt.synth.disentangle import clean_pair_gates, pair_cost_bits
 from cliffopt.synth.greedy import _TRIPLES
 
 from _dense import circuit_unitary, conjugate_dense, pauli_matrix
@@ -52,6 +52,12 @@ def test_standard_form_rejects_commuting():
         disentangler(
             PauliOperator.from_label("XX"), PauliOperator.from_label("ZZ")
         )
+
+
+def test_target_out_of_range_is_rejected():
+    xi, zi = PauliOperator.from_label("XI"), PauliOperator.from_label("ZI")
+    with pytest.raises(ValueError, match="target 5 out of range"):
+        clean_pair_gates(xi, zi, 5)
 
 
 def test_rejects_non_hermitian():

@@ -93,6 +93,8 @@ def test_label_parsing():
     assert p.phase_exp == 3
     with pytest.raises(ValueError, match="bad Pauli letter"):
         PauliOperator.from_label("XQ")
+    with pytest.raises(ValueError, match="empty Pauli label '-'"):
+        PauliOperator.from_label("-")
 
 
 def test_hermitian_and_sign():
@@ -155,6 +157,8 @@ def test_circuit_conjugation_matches_dense(gate_idx, xb, zb, e):
 
 
 def test_width_mismatch_errors():
+    with pytest.raises(ValueError, match="component bits out of range"):
+        PauliOperator(2, 4, 0)
     p1 = PauliOperator.identity(1)
     p2 = PauliOperator.identity(2)
     with pytest.raises(ValueError, match="width"):

@@ -79,6 +79,7 @@ def test_merge_outputs_match_recorded_digest():
         ((1.0, 0.0), 2, "permutation"),
         ((1, 0), 2, "compute"),
         ((1, 0), None, "pauli"),
+        (None, 2, r"permutation None does not permute range\(2\)"),
     ],
 )
 def test_malformed_partition_is_rejected(perm, pauli_n, field):

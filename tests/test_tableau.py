@@ -44,6 +44,9 @@ def test_identity_tableau():
     assert t.is_identity()
     assert t.row(0) == PauliOperator.from_label("XII")
     assert t.row(5) == PauliOperator.from_label("IIZ")
+    assert repr(CliffordTableau(1)) == "CliffordTableau(1: +X, +Z)"
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        CliffordTableau(0)
 
 
 def test_rows_match_dense():
@@ -210,6 +213,7 @@ def test_equality_and_hash():
     assert circuit_to_tableau(c) == circuit_to_tableau(c)
     assert hash(circuit_to_tableau(c)) == hash(circuit_to_tableau(c))
     assert circuit_to_tableau(c) != CliffordTableau.identity(2)
+    assert (CliffordTableau(1) == "x") is False
 
 
 @settings(max_examples=40, deadline=None)
