@@ -26,14 +26,16 @@ past the gates stepped over. That search depends only on gate p and on
 the state after gates 0..p-1 (last matched position, binding, pending
 masks), so rotations sharing their first p+1 gates make it once: they
 form a trie keyed by gate, each node searching on from its parent's
-state. Where a search fails, every rotation below ends with the
-parent's match, as its own scan would, so the rewrites are unchanged.
-Whether a match licenses a rewrite (at least half the word, every wire
-of the remainder bound) and its score depend only on the rotation and
-the match length, so the trie holds them ahead of time. The pending
-masks are one integer, qubit q's at bit 4q, and each circuit gate holds
-the bits it adds and the bits that block it, so stepping over a gate
-is two integer operations.
+state. Where a search fails, every rotation below ends its match at
+the parent, as its own scan would. Whether a match licenses a rewrite
+(at least half the word, every wire of the remainder bound) and its
+score depend only on the rotation and the match length, so each node
+holds the best score of the prefixes ending there, and the walk keeps
+the best node it reaches. A licensed prefix loses to the one a gate
+longer, licensed too, so a prefix a match goes past changes nothing.
+The pending masks are one integer, qubit q's at bit 4q, and each
+circuit gate holds the bits it adds and the bits that block it, so
+stepping over a gate is two integer operations.
 
 Prunes skip only work that cannot change the rewrite applied: a search
 stops once no later gate can match (on a bound wire a match may pass
@@ -118,23 +120,22 @@ _STEP = {
 # no, one or both wires bound.
 _ONE_FREE, _ONE_BOUND, _NONE_BOUND, _ONE_OF_TWO, _BOTH_BOUND = range(5)
 
-# A scored match: (delta, -p, rotation index, rotation). Indices are
-# unique, so comparisons never reach the rotation. Every improving delta
-# is below (0, 0), so _NO_SCORE is above every score.
+# A scored match: (delta, -p, rotation index, replacement word), the
+# word being the inverted remainder of the rotation. Indices are unique,
+# so comparisons never reach the word. Every improving delta is below
+# (0, 0), so _NO_SCORE is above every score.
 _Score = tuple[tuple[int, int], int, int, tuple[Gate, ...]]
 _NO_SCORE: _Score = ((0, 0), 0, 0, ())
 
 
 def _rotations(templates: Iterable[Template]) -> Iterator[tuple[Gate, ...]]:
-    """The distinct rotations of the templates and their inverses, in
-    index order.
+    """The rotations of the templates and their inverses, in index order.
 
     A CZ or SWAP whose two wires no earlier gate of the rotation touches
     matches a circuit gate in either orientation, but a match binds them
     in operand order. So each rotation is followed by its variants with
     the wires of such gates exchanged, which are identity words too.
     """
-    seen: set[tuple[Gate, ...]] = set()
     for template in templates:
         inverse = tuple(g.inverse() for g in reversed(template.gates))
         for word in (template.gates, inverse):
@@ -151,18 +152,14 @@ def _rotations(templates: Iterable[Template]) -> Iterator[tuple[Gate, ...]]:
                             for rot in variants
                         ]
                     touched.update(g.qubits)
-                for rot in variants:
-                    if rot not in seen:
-                        seen.add(rot)
-                        yield rot
+                yield from variants
 
 
 class _Node:
     """A trie node: the last gate of a rotation prefix (none at a root).
 
-    ``full`` scores the rotation that ends here, matched whole; ``stop``
-    the best of those below whose match ends before this gate, as its
-    search failed, or _NO_SCORE when none licenses an improvement.
+    ``score`` is the best licensed rewrite among the rotation prefixes
+    that end here, or _NO_SCORE when none licenses an improvement.
 
     A node is reached by one path, so the wires of its gate that a gate
     above it touches, ``bound``, are bound whenever it searches, and the
@@ -173,13 +170,13 @@ class _Node:
     """
 
     __slots__ = (
-        "children", "full", "stop", "kind", "unordered", "shape", "wires",
+        "children", "score", "kind", "unordered", "shape", "wires",
         "blocks", "pos", "code", "step",
     )
 
     def __init__(self, gate: Gate | None = None, bound: Container[int] = ()):
         self.children: dict[Gate, _Node] = {}
-        self.full = self.stop = _NO_SCORE
+        self.score = _NO_SCORE
         if gate is not None:
             kind, qs = gate.kind, gate.qubits
             self.kind, self.unordered = kind, kind in UNORDERED_KINDS
@@ -205,22 +202,21 @@ def _trie(
         m = len(rot)
         if not present.issuperset(g.kind for g in rot[1:(m + 1) // 2]):
             continue
-        path = [roots.setdefault(rot[0].kind, _Node())]
+        node = roots.setdefault(rot[0].kind, _Node())
         touched: set[int] = set()
-        for g in rot:
-            node = path[-1].children.get(g) or _Node(g, touched)
-            path.append(path[-1].children.setdefault(g, node))
+        weight = sum(TWO_QUBIT_WEIGHT.get(g.kind, 0) for g in rot)
+        for p, g in enumerate(rot, 1):
+            node = node.children.get(g) or node.children.setdefault(
+                g, _Node(g, touched)
+            )
             touched.update(g.qubits)
-        weights = [TWO_QUBIT_WEIGHT.get(g.kind, 0) for g in rot]
-        for p in range((m + 1) // 2, m):
-            delta = (sum(weights[p:]) - sum(weights[:p]), m - 2 * p)
-            bound = {w for g in rot[:p] for w in g.qubits}
-            if delta < (0, 0) and bound.issuperset(
-                w for g in rot[p:] for w in g.qubits
+            weight -= 2 * TWO_QUBIT_WEIGHT.get(g.kind, 0)
+            delta = (weight, m - 2 * p)
+            if 2 * p >= m and delta < (0, 0) and touched.issuperset(
+                w for v in rot[p:] for w in v.qubits
             ):
-                score = (delta, -p, index, rot)
-                path[p + 1].stop = min(score, path[p + 1].stop)
-        path[m].full = ((-sum(weights), -m), -m, index, rot)
+                word = tuple(v.inverse() for v in reversed(rot[p:]))
+                node.score = min((delta, -p, index, word), node.score)
     return roots
 
 
@@ -307,15 +303,13 @@ def _best_match(
         """The better of best and the best match below node, whose
         prefix matched these positions with this binding, these bound
         qubits and this pending."""
-        if node.full < best[0]:
-            best = node.full, matched, binding
+        if node.score < best[0]:
+            best = node.score, matched, binding
         for child in node.children.values():
             found = search(child, last, binding, used, pending)
             if found is not None:
                 j, trial, now, after = found
                 best = walk(child, j, matched + (j,), trial, now, after, best)
-            elif child.stop < best[0]:
-                best = child.stop, matched, binding
         return best
 
     best = walk(root, i - 1, (), {}, 0, 0, (_NO_SCORE, (), {}))
@@ -412,11 +406,8 @@ def match_and_apply(
                 dirty[i] = False
                 i += 1
                 continue
-            (_, _, _, rot), matched_pos, binding = found
-            p = len(matched_pos)
-            replacement = [
-                g.inverse().relabeled(binding) for g in reversed(rot[p:])
-            ]
+            (_, _, _, word), matched_pos, binding = found
+            replacement = [g.relabeled(binding) for g in word]
             if not present.issuperset(g.kind for g in replacement):
                 present = present.union(g.kind for g in replacement)
                 roots = _trie(templates, present)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import (
-    Circuit, Gate, PAULI_KINDS, _expect, _integer, cx, h, swap, x, y, z
+    Circuit, Gate, PAULI_KINDS, _expect, _gate, _integer, cx, h, swap
 )
 from .pauli import _AXIS_BITS, PauliOperator, conjugate_columns
 
@@ -60,16 +60,8 @@ class StagePartition:
 
 def pauli_layer_gates(p: PauliOperator) -> list[Gate]:
     _expect(p, PauliOperator, "p")
-    gates = []
-    for q in range(p.n):
-        axis = p.axis(q)
-        if axis == "X":
-            gates.append(x(q))
-        elif axis == "Y":
-            gates.append(y(q))
-        elif axis == "Z":
-            gates.append(z(q))
-    return gates
+    axes = [p.axis(q) for q in range(p.n)]
+    return [_gate(a.lower(), (q,)) for q, a in enumerate(axes) if a != "I"]
 
 
 def _transpositions(perm) -> list[tuple[int, int]]:

@@ -12,28 +12,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .circuit import Circuit, Gate, cz, h, s, sdg, swap, z
+from .circuit import Circuit, Gate, _expect, cz, h, s, sdg, swap, z
 from .tableau import circuit_to_tableau
 
 
 @dataclass(frozen=True)
 class Template:
     """An identity gate word on wires 0..size-1, valid once made: the
-    word must be a ``Circuit`` of width ``size`` that multiplies out to
-    the identity, or a ``ValueError`` names the template's id."""
+    id must be a ``str`` and the word a ``Circuit`` of width ``size``
+    that multiplies out to the identity, or a ``ValueError`` says so."""
 
     id: str
     gates: tuple[Gate, ...]
     size: int
 
     def __post_init__(self) -> None:
+        _expect(self.id, str, "template id")
         try:
             word = Circuit(self.size, self.gates)
         except ValueError as exc:
             raise ValueError(f"template {self.id!r} {exc}") from None
         object.__setattr__(self, "gates", word.gates)
         object.__setattr__(self, "size", word.n)
-        if not template_is_identity(self):
+        if not circuit_to_tableau(word).is_identity():
             raise ValueError(f"template {self.id!r} is not an identity word")
 
 
@@ -78,8 +79,3 @@ def builtin_templates() -> tuple[Template, ...]:
             2,
         ),
     )
-
-
-def template_is_identity(template: Template) -> bool:
-    """Whether the template's word multiplies out to the identity."""
-    return circuit_to_tableau(Circuit(template.size, template.gates)).is_identity()

@@ -29,20 +29,18 @@ from cliffopt.matching import (
     _BOTH_BOUND,
     _CODES,
     _NONE_BOUND,
+    _NO_SCORE,
     _ONE_BOUND,
     _ONE_FREE,
     _ONE_OF_TWO,
     _STEP,
     _WINDOW,
+    _rotations,
     _trie,
     match_and_apply,
 )
 from cliffopt.stages import merge_swaps, partition_stages
-from cliffopt.templates import (
-    Template,
-    builtin_templates,
-    template_is_identity,
-)
+from cliffopt.templates import Template, builtin_templates
 
 from _util import gate_pool, random_circuit
 
@@ -87,7 +85,6 @@ def test_ties_go_to_longer_match_then_lower_rotation_index():
     # remove two CZs from position 0. The longer match wins whatever the
     # template order, and it leaves the S after the remaining CZ.
     square = Template("cz_square", (cz(0, 1), cz(0, 2), cz(0, 1), cz(0, 2)), 3)
-    assert template_is_identity(square)
     c = Circuit(3, (cz(0, 1), s(2), cz(0, 2), cz(0, 1)))
     pair = _by_id("double_cz") + (square,)
     for templates in (pair, pair[::-1]):
@@ -125,7 +122,6 @@ def test_binding_is_injective():
         (path, Circuit(2, (cz(0, 1),) * 4)),
         (h_cz, Circuit(2, (h(0), cz(0, 1)) * 2)),
     ):
-        assert template_is_identity(t)
         assert match_and_apply(c, (t,)) == c, t.id
 
 
@@ -231,7 +227,6 @@ def test_caller_templates_outputs_match_recorded_digest():
         Template("x_cx", (x(1), cx(0, 1), x(1), cx(0, 1)), 2),
         Template("z_cx", (z(0), cx(0, 1), z(0), cx(0, 1)), 2),
     )
-    assert all(template_is_identity(t) for t in extra)
     templates = builtin_templates() + extra
     rng = random.Random(3)
     digest = hashlib.sha256()
@@ -306,6 +301,39 @@ def test_trie_nodes_hold_the_search_shape_of_their_path():
     }
 
 
+def test_trie_nodes_hold_the_best_score_of_the_prefixes_ending_there():
+    # Follow every rotation down its path and score each of its prefixes
+    # by the rules of the module docstring: a prefix of p gates of an m
+    # gate rotation licenses a rewrite when 2p >= m, the wires of the
+    # remainder are among the prefix's, and (two-qubit weight, gate
+    # count) strictly falls when the remainder, inverted, replaces it.
+    templates = builtin_templates()
+    roots = _trie(templates, frozenset(GATE_ARITY))
+    expected = {}
+    for index, rot in enumerate(_rotations(templates)):
+        m = len(rot)
+        node = roots[rot[0].kind]
+        for p in range(1, m + 1):
+            node = node.children[rot[p - 1]]
+            head, rest = rot[:p], rot[p:]
+            weight = [Circuit(3, w).two_qubit_count for w in (head, rest)]
+            delta = (weight[1] - weight[0], len(rest) - len(head))
+            head_wires = {w for g in head for w in g.qubits}
+            rest_wires = {w for g in rest for w in g.qubits}
+            if 2 * p >= m and delta < (0, 0) and rest_wires <= head_wires:
+                word = tuple(g.inverse() for g in reversed(rest))
+                score = (delta, -p, index, word)
+                expected[id(node)] = min(score, expected.get(id(node), score))
+    stack = list(roots.values())
+    scored = 0
+    while stack:
+        node = stack.pop()
+        assert node.score == expected.get(id(node), _NO_SCORE)
+        scored += node.score is not _NO_SCORE
+        stack.extend(node.children.values())
+    assert scored == len(expected) > 0
+
+
 def test_window_edge_on_one_wire():
     # Two H on qubit 0 erase while the second lies within _WINDOW gates
     # of the first, however many gates on other wires lie between them.
@@ -338,7 +366,9 @@ def test_caller_template_must_be_identity():
     # the word is rejected when the template is made.
     with pytest.raises(ValueError, match="template 'bad' is not an identity"):
         Template("bad", (h(0), s(0)), 1)
-    # So are malformed fields.
+    # So are malformed fields, an id that is not a str among them.
+    with pytest.raises(ValueError, match="template id"):
+        Template(["a"], (h(0), h(0)), 1)
     for gates, size in (
         ((cz(0, 1), cz(0, 1)), 1),
         ((h(0), h(0)), 1.5),
