@@ -18,7 +18,9 @@ and the qubit it freed.
 
 The scan names a letter by its code, 0-3 for I, X, Y and Z, and a Pauli
 on two qubits (a, b) by its grid index 4 la + lb: letter la on a and lb
-on b. A qubit pair's grid holds the image of all 16 such Paulis.
+on b. Each step builds one grid per unordered qubit pair, holding the
+image of all 16 such Paulis, and reads the reversed pair from its
+transposed view.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from operator import itemgetter
 
 from ..circuit import Circuit, Gate, _expect
@@ -52,12 +54,12 @@ def _pauli(n: int, qubits: tuple, f: int) -> PauliOperator:
     return PauliOperator(n, xb, zb, (xb & zb).bit_count() % 4)
 
 
-def _patterns(pairs, partner: int = 1) -> tuple[tuple[int, int, int], ...]:
+def _patterns(pairs) -> tuple[tuple[int, int, int], ...]:
     """(f1, f2, CX cost of reducing the pair) for each anticommuting pair
-    of grid indices, f1 placed on slots (0, 1) and f2 on (0, partner)."""
+    of grid indices on qubits (0, 1)."""
     out = []
     for f1, f2 in pairs:
-        p, p2 = _pauli(3, (0, 1), f1), _pauli(3, (0, partner), f2)
+        p, p2 = _pauli(2, (0, 1), f1), _pauli(2, (0, 1), f2)
         bits = (p.x_bits, p.z_bits, p2.x_bits, p2.z_bits)
         if anticommute_bits(*bits):
             out.append((f1, f2, pair_cost_bits(*bits)))
@@ -71,29 +73,23 @@ _SINGLES = _patterns(
     (4 * _LETTERS.index(l1), 4 * _LETTERS.index(l2))
     for l1, l2 in ("XZ", "XY", "YX", "YZ", "ZX", "ZY")
 )
-# Ordered anticommuting pairs on two qubits, each qubit touched.
-_PAIRS = _patterns(
-    (f1, f2)
-    for f1 in range(1, 16)
-    for f2 in range(1, 16)
-    if (f1 | f2) & 3 and (f1 | f2) >> 2
-)
-# Weight-2 pairs sharing qubit q0, letters ls and ms there: the prefix
-# 4 ls + lx lies on (q0, q1) and the partner 4 ms + my on (q0, q2).
-_TRIPLES = _patterns(
-    (
-        (4 * ls + lx, 4 * ms + my)
-        for ls in (1, 2, 3)
-        for ms in (1, 2, 3)
-        if ls != ms
-        for lx in (1, 2, 3)
-        for my in (1, 2, 3)
-    ),
-    partner=2,
+# Ordered anticommuting pairs on two qubits, each qubit touched, grouped
+# by f1 as (f1, ((f2, cost), ...)); every cost is at least 1.
+_PAIRS = tuple(
+    (f1, tuple((f2, cost) for _, f2, cost in group))
+    for f1, group in groupby(
+        _patterns(
+            (f1, f2)
+            for f1 in range(1, 16)
+            for f2 in range(1, 16)
+            if (f1 | f2) & 3 and (f1 | f2) >> 2
+        ),
+        key=itemgetter(0),
+    )
 )
 
-# Letter images of a slot that names no qubit: a single's slot 1.
-_UNTOUCHED = ((0, 0),) * 4
+# Grid index of the same Pauli with its two qubits swapped.
+_TRANSPOSE = tuple((f & 3) << 2 | f >> 2 for f in range(16))
 
 
 def _letters(xq: tuple, zq: tuple) -> tuple:
@@ -179,25 +175,33 @@ def greedy_bidirectional(
     it needs no SWAP; the right one may end with a SWAP onto it.
 
     A candidate is a pattern (f1, f2, cost of reducing (P, P')) placed on
-    qubits. Singles put P and P' on one qubit q, at grid indices 4 l of
-    (q, no qubit); pairs put both on a qubit pair (a, b). A triple
-    (q0, q1, q2) puts P at index f1 of the grid of (q0, q1) and P' at
-    index f2 of the grid of (q0, q2). Each step builds one grid per
-    single and per ordered qubit pair, and every phase reads from them.
+    qubits. Singles put P and P' on one qubit q, at letters f1 // 4 and
+    f2 // 4; pairs put both on a qubit pair (a, b). A triple (q0, q1, q2)
+    puts P at index f1 = 4 ls + lx of the grid of (q0, q1) and P' at
+    index f2 = 4 ms + my of the grid of (q0, q2), for letters ls != ms
+    and any lx and my; it always costs 2.
 
     The scan skips candidates that provably cannot be kept, so it keeps
     exactly what a full scan would. The images (O, O') of an
     anticommuting pair anticommute, so ``pair_cost_bits`` is at least
     |supp O u supp O'| - 1: each C and D qubit costs 1, B costs |B| + 1
     and A costs 3(|A| - 1)/2 >= |A| - 1. A candidate thus costs at least
-    its pattern cost plus that union minus 1. A triple candidate's
-    prefix (q0, l_s, q1, l_x) fixes O, so |supp O| bounds all 6(m - 2)
-    partners of the prefix at once, m being the number of active
-    qubits. The cut is the cost of the worst kept candidate once
-    ``keep`` are kept; before that nothing is skipped. A candidate or
-    prefix whose bound is not below the cut is skipped. That is exact:
-    a skipped candidate could at best tie a kept one found earlier, and
-    a tie keeps the one found earlier.
+    its pattern cost minus 1 plus that union, or plus |supp O| alone.
+    The cut is the cost of the worst kept candidate once ``keep`` are
+    kept; before that nothing is skipped. A candidate whose bound is not
+    below the cut is skipped. That is exact: a skipped candidate could at
+    best tie a kept one found earlier, and a tie keeps the one found
+    earlier.
+
+    Each side is bounded on its own before any pairing. A pair pattern
+    costs at least 1, so a pair grid entry with |supp O| >= cut is never
+    paired. A triple costs 2, so for each q0 only the entries with
+    |supp O| < cut - 1 of each partner's grid are paired. The cut only
+    falls, so a list filtered with an earlier cut is a superset. As
+    ``pair_cost_bits`` is symmetric in the pair, triple (q0, q2, q1)
+    holds the candidates of (q0, q1, q2) swapped, at the same cost: for
+    q1 < q2 the scan keeps those that beat the cut and replays them in
+    the scan order of (q0, q2, q1).
     """
     if rng is not None and not isinstance(rng, random.Random):
         raise ValueError(f"rng {rng!r} is not a random.Random")
@@ -208,13 +212,10 @@ def greedy_bidirectional(
         n = work.n
         rows = work._signed_rows()
         letters = {q: _letters(rows[q], rows[n + q]) for q in ordered}
-        letters[None] = _UNTOUCHED
-        grids = {
-            (a, b): _grid(letters[a], letters[b])
-            for a in ordered
-            for b in (None, *ordered)
-            if a != b
-        }
+        grids = {}
+        for a, b in combinations(ordered, 2):
+            grid = grids[a, b] = _grid(letters[a], letters[b])
+            grids[b, a] = [grid[f] for f in _TRANSPOSE]
 
         # (cost, qubits of P, f1, qubits of P', f2), in scan order on ties
         best: list[tuple[int, tuple, int, tuple, int]] = []
@@ -227,41 +228,77 @@ def greedy_bidirectional(
             return best[-1][0] if len(best) == keep else math.inf
 
         cut = math.inf
-        for qubit_pairs, patterns in (
-            (((q, None) for q in ordered), _SINGLES),
-            (combinations(ordered, 2), _PAIRS),
-        ):
-            for qubits in qubit_pairs:
-                grid = grids[qubits]
-                for f1, f2, pcost in patterns:
-                    ox, oz, occ = grid[f1]
-                    o2x, o2z, occ2 = grid[f2]
-                    if pcost - 1 + (occ | occ2).bit_count() < cut:
-                        cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
-                        if cost < cut:
-                            cut = admit(cost, qubits, f1, qubits, f2)
+        for q in ordered:
+            images = [(x, z, x | z) for x, z in letters[q]]
+            for f1, f2, pcost in _SINGLES:
+                ox, oz, occ = images[f1 >> 2]
+                o2x, o2z, occ2 = images[f2 >> 2]
+                if pcost - 1 + (occ | occ2).bit_count() < cut:
+                    cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
+                    if cost < cut:
+                        cut = admit(cost, (q, None), f1, (q, None), f2)
 
-        # Triples (q0, q1, q2) in permutations(ordered, 3) order.
-        for q0, q1 in permutations(ordered, 2):
-            grid1 = grids[q0, q1]
-            low = [occ.bit_count() - 1 for _, _, occ in grid1]
-            live = [
-                (f1, *grid1[f1], f2, pcost)
-                for f1, f2, pcost in _TRIPLES
-                if pcost + low[f1] < cut
-            ]
-            if not live:
-                continue
-            for q2 in ordered:
-                if q2 == q0 or q2 == q1:
+        for qubits in combinations(ordered, 2):
+            grid = grids[qubits]
+            fits = [occ.bit_count() < cut for _, _, occ in grid]
+            for f1, partners in _PAIRS:
+                if not fits[f1]:
                     continue
-                grid2 = grids[q0, q2]
-                for f1, ox, oz, occ, f2, pcost in live:
-                    o2x, o2z, occ2 = grid2[f2]
-                    if pcost - 1 + (occ | occ2).bit_count() < cut:
-                        cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
+                ox, oz, occ = grid[f1]
+                for f2, pcost in partners:
+                    if fits[f2]:
+                        o2x, o2z, occ2 = grid[f2]
+                        if pcost - 1 + (occ | occ2).bit_count() < cut:
+                            cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
+                            if cost < cut:
+                                cut = admit(cost, qubits, f1, qubits, f2)
+
+        # Triples (q0, q1, q2) in permutations(ordered, 3) order, and
+        # (ls, ms, lx, my) order within each.
+        for q0 in ordered:
+            # Per partner q, the entries of (q0, q) by letter ls on q0.
+            sides = {}
+            for q in ordered:
+                if q != q0:
+                    grid = grids[q0, q]
+                    side = []
+                    for ls in (1, 2, 3):
+                        row = [
+                            (f, *grid[f])
+                            for f in range(4 * ls + 1, 4 * ls + 4)
+                            if grid[f][2].bit_count() < cut - 1
+                        ]
+                        if row:
+                            side.append((ls, row))
+                    if side:
+                        sides[q] = side
+            # Candidates of (q0, q1, q2), q1 < q2, swapped for (q0, q2, q1)
+            # and keyed by their scan order (ls, ms, lx, my) there.
+            mirrored = {}
+            for q1, q2 in permutations(sides, 2):
+                if q2 < q1:
+                    for *_, cost, f1, f2 in sorted(mirrored.get((q2, q1), ())):
                         if cost < cut:
                             cut = admit(cost, (q0, q1), f1, (q0, q2), f2)
+                    continue
+                kept = []
+                for ls, row1 in sides[q1]:
+                    for ms, row2 in sides[q2]:
+                        if ls == ms:
+                            continue
+                        for f1, ox, oz, occ in row1:
+                            for f2, o2x, o2z, occ2 in row2:
+                                if 1 + (occ | occ2).bit_count() < cut:
+                                    cost = 2 + pair_cost_bits(ox, oz, o2x, o2z)
+                                    if cost < cut:
+                                        cut = admit(
+                                            cost, (q0, q1), f1, (q0, q2), f2
+                                        )
+                                        kept.append(
+                                            (ms, ls, f2 & 3, f1 & 3, cost, f2, f1)
+                                        )
+                if kept:
+                    mirrored[q1, q2] = kept
 
         _, qubits, f1, qubits2, f2 = best[
             0 if rng is None else rng.randrange(len(best))

@@ -3,24 +3,43 @@
 import hashlib
 import random
 import statistics
+from itertools import combinations, permutations
 
 from cliffopt import (
     CliffordTableau,
+    PauliOperator,
     ag_canonical,
     circuit_to_tableau,
     greedy_bidirectional,
     greedy_unidirectional,
     random_clifford,
 )
+from cliffopt.pauli import anticommute_bits
 from cliffopt.stages import merge_swaps, partition_stages
+from cliffopt.synth.disentangle import (
+    _class_masks,
+    clean_pair_gates,
+    pair_cost_bits,
+)
 from cliffopt.synth.greedy import (
     _PAIRS,
     _SINGLES,
-    _TRIPLES,
+    _TRANSPOSE,
     _grid,
     _letters,
     _pauli,
+    _peel,
 )
+from cliffopt.tableau import _image
+
+# Triple patterns (f1, f2) in scan order (ls, ms, lx, my): letter ls on
+# q0 and lx on q1 for P, ms on q0 and my on q2 for P'.
+TRIPLES = [
+    (4 * ls + lx, 4 * ms + my)
+    for ls, ms in permutations((1, 2, 3), 2)
+    for lx in (1, 2, 3)
+    for my in (1, 2, 3)
+]
 
 
 def test_unidirectional_exact():
@@ -123,8 +142,102 @@ def test_scan_grid_matches_conjugate():
                         assert grid[f] == (
                             o.x_bits, o.z_bits, o.x_bits | o.z_bits
                         )
-    assert (len(_SINGLES), len(_PAIRS), len(_TRIPLES)) == (6, 108, 54)
+                    # The scan reads the grid of (b, a) as this view.
+                    assert [grid[f] for f in _TRANSPOSE] == _grid(
+                        _letters(rows[b], rows[n + b]),
+                        _letters(rows[a], rows[n + a]),
+                    )
+    assert len(_SINGLES) == 6
+    assert sum(len(partners) for _, partners in _PAIRS) == 108
     assert _SINGLES[0][:2] == (4 * 1, 4 * 3)  # (X, Z) leads
+
+
+def test_scan_bounds_invariants():
+    # The scan bounds each side of a candidate on its own: singles cost
+    # 0, pairs at least 1 and triples exactly 2. It replays a mirrored
+    # triple at the same cost, as pair_cost_bits is symmetric.
+    assert {pcost for _, _, pcost in _SINGLES} == {0}
+    assert min(pcost for _, partners in _PAIRS for _, pcost in partners) == 1
+    for f1, f2 in TRIPLES:
+        p, p2 = _pauli(3, (0, 1), f1), _pauli(3, (0, 2), f2)
+        bits = (p.x_bits, p.z_bits, p2.x_bits, p2.z_bits)
+        assert anticommute_bits(*bits)
+        assert pair_cost_bits(*bits) == 2
+    width3 = range(8)
+    for x1 in width3:
+        for z1 in width3:
+            for x2 in width3:
+                for z2 in width3:
+                    assert pair_cost_bits(x1, z1, x2, z2) == pair_cost_bits(
+                        x2, z2, x1, z1
+                    )
+
+
+def reference_bidirectional(t, rng=None):
+    """greedy_bidirectional with an unpruned scan: every candidate is
+    scored, and the ``keep`` cheapest by (cost, scan order) are kept."""
+    keep = 1 if rng is None else 4
+
+    def step(work, ordered, emit):
+        n = work.n
+        rows = work._signed_rows()
+        letters = {q: _letters(rows[q], rows[n + q]) for q in ordered}
+        letters[None] = ((0, 0),) * 4
+        grids = {
+            (a, b): _grid(letters[a], letters[b])
+            for a in ordered
+            for b in (None, *ordered)
+            if a != b
+        }
+
+        candidates = []  # (pattern cost, qubits of P, f1, qubits of P', f2)
+        for q in ordered:
+            for f1, f2, pcost in _SINGLES:
+                candidates.append((pcost, (q, None), f1, (q, None), f2))
+        for qubits in combinations(ordered, 2):
+            for f1, partners in _PAIRS:
+                for f2, pcost in partners:
+                    candidates.append((pcost, qubits, f1, qubits, f2))
+        for q0, q1, q2 in permutations(ordered, 3):
+            for f1, f2 in TRIPLES:
+                candidates.append((2, (q0, q1), f1, (q0, q2), f2))
+
+        scored = []
+        for index, (pcost, qubits, f1, qubits2, f2) in enumerate(candidates):
+            ox, oz, _ = grids[qubits][f1]
+            o2x, o2z, _ = grids[qubits2][f2]
+            cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
+            scored.append((cost, index, qubits, f1, qubits2, f2))
+        best = sorted(scored)[:keep]
+
+        _, _, qubits, f1, qubits2, f2 = best[
+            0 if rng is None else rng.randrange(len(best))
+        ]
+        p = _pauli(n, qubits, f1)
+        p2 = _pauli(n, qubits2, f2)
+        o = PauliOperator(n, *_image(rows, p.x_bits, p.z_bits, p.phase_exp))
+        o2 = PauliOperator(n, *_image(rows, p2.x_bits, p2.z_bits, p2.phase_exp))
+        a_mask, _, _, _ = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
+        j = (a_mask & -a_mask).bit_length() - 1
+        emit(*clean_pair_gates(o, o2, target=j))
+        return clean_pair_gates(p, p2, target=j), j
+
+    return _peel(t, step)
+
+
+def test_bidirectional_matches_unpruned_scan():
+    # The recorded digests pin fixed seeds only; a pruned scan that keeps
+    # a tied candidate out of scan order can pass them and still differ.
+    # In random_clifford(8, 368) with Random(0), two tied candidates of a
+    # mirrored triple enter the pool of four: a replay of triple
+    # (q0, q2, q1) in the scan order of (q0, q1, q2) changes the output.
+    cases = [(n, seed) for n in range(2, 10) for seed in range(3 if n < 8 else 1)]
+    for n, seed in (*cases, (8, 368)):
+        t = random_clifford(n, seed)
+        assert greedy_bidirectional(t) == reference_bidirectional(t)
+        assert greedy_bidirectional(
+            t, rng=random.Random(seed % 4)
+        ) == reference_bidirectional(t, rng=random.Random(seed % 4))
 
 
 def test_ag_canonical_exact():
