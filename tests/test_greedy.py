@@ -3,7 +3,7 @@
 import hashlib
 import random
 import statistics
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from cliffopt import (
     CliffordTableau,
@@ -163,14 +163,8 @@ def test_scan_bounds_invariants():
         bits = (p.x_bits, p.z_bits, p2.x_bits, p2.z_bits)
         assert anticommute_bits(*bits)
         assert pair_cost_bits(*bits) == 2
-    width3 = range(8)
-    for x1 in width3:
-        for z1 in width3:
-            for x2 in width3:
-                for z2 in width3:
-                    assert pair_cost_bits(x1, z1, x2, z2) == pair_cost_bits(
-                        x2, z2, x1, z1
-                    )
+    for x1, z1, x2, z2 in product(range(8), repeat=4):  # every width-3 pair
+        assert pair_cost_bits(x1, z1, x2, z2) == pair_cost_bits(x2, z2, x1, z1)
 
 
 def reference_bidirectional(t, rng=None):
