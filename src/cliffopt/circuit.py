@@ -114,11 +114,11 @@ class Gate:
         """Return the gate with each qubit ``q`` replaced by ``mapping[q]``."""
         try:
             qubits = tuple([mapping[q] for q in self.qubits])
-        except LookupError:
+        except (LookupError, TypeError):
             for q in self.qubits:
                 try:
                     mapping[q]
-                except LookupError:
+                except (LookupError, TypeError):
                     raise ValueError(
                         f"gate {self}: qubit {q} is not mapped"
                     ) from None
@@ -237,7 +237,7 @@ class Circuit:
         return Circuit(self.n, tuple(g.inverse() for g in reversed(self.gates)))
 
     def extended(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.n, self.gates + tuple(gates))
+        return Circuit(self.n, self.gates + Circuit(self.n, gates).gates)
 
     def relabeled(self, mapping) -> "Circuit":
         return Circuit(self.n, tuple(g.relabeled(mapping) for g in self.gates))

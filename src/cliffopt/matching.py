@@ -56,13 +56,18 @@ matches only if that gate has the own code. Every gate on q before it
 has the kind's class, so it passes, and a gate off q cannot raise q's
 pending bits, so the pending masks at the match are the start's ORed
 with the stepped-over gates' added bits. The other shapes step over
-the window. A two-qubit gate with both wires bound matches a gate of
-its kind on their qubits; with one bound, a gate of its kind on that
-wire's qubit; with none bound, as a one-qubit gate on a free wire, any
-gate of its kind. A wire new to the match takes only an unbound qubit,
-tested on a bitmask of the bound qubits. A walk over two columns, or an
-index of positions per kind rebuilt after each rewrite, measured slower
-on circuit input.
+the window. A two-qubit gate with both wires bound matches the gate of
+its kind on their qubits, found by one integer key per gate (kind code
+and operands, n.bit_length() bits each); with one bound, a gate of its
+kind on that wire's qubit; with none bound, as a one-qubit gate on a
+free wire, any gate of its kind. A wire new to the match takes only an
+unbound qubit, tested on a bitmask of the bound qubits. The walk runs
+each child's search inline, and a root's children bind gate i, whose
+kind they have, with nothing bound or pending. Each node holds the rank
+of its score in the trie (distinct nodes hold distinct scores), so the
+walk compares ints and reads the best node's score once. A walk over
+two columns, or an index of positions per kind rebuilt after each
+rewrite, measured slower on circuit input.
 """
 
 from __future__ import annotations
@@ -159,19 +164,22 @@ class _Node:
     """A trie node: the last gate of a rotation prefix (none at a root).
 
     ``score`` is the best licensed rewrite among the rotation prefixes
-    that end here, or _NO_SCORE when none licenses an improvement.
+    that end here, or _NO_SCORE when none licenses an improvement, and
+    ``rank`` its place in the trie's score order, shared only by the
+    unscored nodes, which rank last. ``kids`` holds the ``children``.
 
     A node is reached by one path, so the wires of its gate that a gate
     above it touches, ``bound``, are bound whenever it searches, and the
     node holds the search that follows: its ``shape``, the gate's
     ``wires``, bound ones first, with ``pos`` the operand index of the
     first, the ``blocks`` each bound wire's qubit must not have pending
-    (0 for a free wire), and a one-qubit kind's ``code`` and ``step``.
+    (0 for a free wire), the kind's first wire ``code`` and a one-qubit
+    kind's ``step``.
     """
 
     __slots__ = (
-        "children", "score", "kind", "unordered", "shape", "wires",
-        "blocks", "pos", "code", "step",
+        "children", "kids", "score", "rank", "kind", "unordered", "shape",
+        "wires", "blocks", "pos", "code", "step",
     )
 
     def __init__(self, gate: Gate | None = None, bound: Container[int] = ()):
@@ -217,6 +225,12 @@ def _trie(
             ):
                 word = tuple(v.inverse() for v in reversed(rot[p:]))
                 node.score = min((delta, -p, index, word), node.score)
+    nodes = list(roots.values())
+    for node in nodes:  # the list grows to hold every node
+        node.kids = tuple(node.children.values())
+        nodes += node.kids
+    for rank, node in enumerate(sorted(nodes, key=lambda v: v.score)):
+        node.rank = rank if node.score is not _NO_SCORE else len(nodes)
     return roots
 
 
@@ -231,90 +245,98 @@ def _info(g: Gate) -> tuple:
 
 
 def _best_match(
-    root: _Node, info: list[tuple], adds: list[int], cols: list[bytearray],
-    i: int,
+    root: _Node, info: list[tuple], adds: list[int], keys: list[int],
+    cols: list[bytearray], i: int,
 ) -> tuple[_Score, tuple[int, ...], dict[int, int]] | None:
     """The best-scoring licensed match at position i of the rotations in
     root's trie, with its matched positions and wire binding. ``adds``
-    holds each gate's added pending bits and ``cols`` each qubit's wire
-    codes."""
-    # Gate i has the kind of the first gate of every rotation under
-    # root and binds it, so the first search returns i.
+    holds each gate's added pending bits, ``keys`` its key and ``cols``
+    each qubit's wire codes."""
     end = min(len(info), i + _WINDOW)
+    shift = len(cols).bit_length()
+    best_rank, best = root.rank, None
 
-    def search(node, last, binding, used, pending):
-        """The first position after last that matches node's gate, with
-        the binding, the bitmask of bound qubits and the pending masks
-        there, or None. Pending bits on a bound qubit that keep the gate
-        from matching end the search, as masks only grow."""
-        shape, kind = node.shape, node.kind
-        if shape == _ONE_BOUND:
-            q = binding[node.wires[0]]
-            if pending >> 4 * q & node.blocks[0]:
-                return None
-            col = cols[q]
-            m = node.step.search(col, last + 1, end)
-            if m is None or col[j := m.start()] != node.code:
-                return None
-            return j, binding, used, reduce(or_, adds[last + 1:j], pending)
-        if shape >= _ONE_OF_TWO:
-            qa, qb = binding[node.wires[0]], binding.get(node.wires[1], 0)
-            forbid = node.blocks[0] << 4 * qa | node.blocks[1] << 4 * qb
-            if pending & forbid:
-                return None
-        if shape == _BOTH_BOUND:
-            # Circuit gates hold CZ and SWAP operands sorted. A gate on
-            # these qubits blocks on forbid alone, so it matches here.
-            target = (qb, qa) if node.unordered and qb < qa else (qa, qb)
-            for j in range(last + 1, end):
-                k, qs, add, blk = info[j]
-                if qs == target and k == kind:
-                    return j, binding, used, pending
-                pending |= add
-                if pending & forbid:
-                    return None
-        elif shape == _ONE_OF_TWO:
-            # The first orientation that fits binds: for a CZ or SWAP, the
-            # one with the bound qubit on the bound wire.
-            pos, unordered, wb = node.pos, node.unordered, node.wires[1]
-            for j in range(last + 1, end):
-                k, qs, add, blk = info[j]
-                if k == kind and qa in qs and not pending & blk:
-                    q = qs[qs[0] == qa]
-                    if (unordered or qs[pos] == qa) and not used >> q & 1:
-                        return j, {**binding, wb: q}, used | 1 << q, pending
-                pending |= add
-                if pending & forbid:
-                    return None
-        else:
-            # No wire bound: the operands bind in order, as a CZ or SWAP
-            # fits in its other orientation only if it fits in this one.
-            for j in range(last + 1, end):
-                k, qs, add, blk = info[j]
-                if k == kind and not pending & blk:
-                    bits = 1 << qs[0] | 1 << qs[-1]
-                    if not used & bits:
-                        trial = {**binding, **dict(zip(node.wires, qs))}
-                        return j, trial, used | bits, pending
-                pending |= add
-        return None
+    def walk(node, last, matched, binding, used, pending):
+        """Keep node if it ranks best yet, then walk on from each child's
+        first match after position last. Pending bits on a bound qubit
+        that keep a gate from matching end its search: masks only grow."""
+        nonlocal best_rank, best
+        if node.rank < best_rank:
+            best_rank, best = node.rank, (node, matched, binding)
+        start = last + 1
+        for child in node.kids:
+            shape = child.shape
+            if shape == _ONE_BOUND:
+                q = binding[child.wires[0]]
+                if pending >> 4 * q & child.blocks[0]:
+                    continue
+                col = cols[q]
+                m = child.step.search(col, start, end)
+                if m is not None and col[j := m.start()] == child.code:
+                    walk(child, j, matched + (j,), binding, used,
+                         reduce(or_, adds[start:j], pending))
+                continue
+            wires, blocks, p = child.wires, child.blocks, pending
+            if shape == _BOTH_BOUND:
+                qa, qb = binding[wires[0]], binding[wires[1]]
+                forbid = blocks[0] << 4 * qa | blocks[1] << 4 * qb
+                if p & forbid:
+                    continue
+                # Circuit gates hold CZ and SWAP operands sorted. A gate
+                # on these qubits blocks on forbid alone, so it matches.
+                if child.unordered and qb < qa:
+                    qa, qb = qb, qa
+                key = (child.code << shift | qa) << shift | qb
+                for j in range(start, end):
+                    if keys[j] == key:
+                        walk(child, j, matched + (j,), binding, used, p)
+                        break
+                    p |= adds[j]
+                    if p & forbid:
+                        break
+            elif shape == _ONE_OF_TWO:
+                # The first orientation that fits binds: for a CZ or
+                # SWAP, the one with the bound qubit on the bound wire.
+                qa = binding[wires[0]]
+                forbid = blocks[0] << 4 * qa
+                if p & forbid:
+                    continue
+                kind, pos, unordered = child.kind, child.pos, child.unordered
+                for j in range(start, end):
+                    k, qs, add, blk = info[j]
+                    if k == kind and qa in qs and not p & blk:
+                        q = qs[qs[0] == qa]
+                        if (unordered or qs[pos] == qa) and not used >> q & 1:
+                            walk(child, j, matched + (j,),
+                                 {**binding, wires[1]: q}, used | 1 << q, p)
+                            break
+                    p |= add
+                    if p & forbid:
+                        break
+            else:
+                # No wire bound: the operands bind in order, as a CZ or
+                # SWAP fits in its other orientation only if it fits in
+                # this one.
+                kind = child.kind
+                for j in range(start, end):
+                    k, qs, add, blk = info[j]
+                    if k == kind and not p & blk:
+                        bits = 1 << qs[0] | 1 << qs[-1]
+                        if not used & bits:
+                            walk(child, j, matched + (j,),
+                                 {**binding, **dict(zip(wires, qs))},
+                                 used | bits, p)
+                            break
+                    p |= add
 
-    def walk(node, last, matched, binding, used, pending, best):
-        """The better of best and the best match below node, whose
-        prefix matched these positions with this binding, these bound
-        qubits and this pending."""
-        if node.score < best[0]:
-            best = node.score, matched, binding
-        for child in node.children.values():
-            found = search(child, last, binding, used, pending)
-            if found is not None:
-                j, trial, now, after = found
-                best = walk(child, j, matched + (j,), trial, now, after, best)
-        return best
-
-    best = walk(root, i - 1, (), {}, 0, 0, (_NO_SCORE, (), {}))
+    # Gate i has the kind of the first gate of every rotation under
+    # root, and nothing is bound or pending yet, so it binds each child.
+    qs = info[i][1]
+    used = 1 << qs[0] | 1 << qs[-1]
+    for child in root.kids:
+        walk(child, i, (i,), dict(zip(child.wires, qs)), used, 0)
     del walk  # it refers to itself; the cycle would keep info alive
-    return best if best[0] is not _NO_SCORE else None
+    return None if best is None else (best[0].score, best[1], best[2])
 
 
 def match_and_apply(
@@ -367,13 +389,18 @@ def match_and_apply(
     gates: list[Gate] = []
     info: list[tuple] = []
     adds: list[int] = []
+    keys: list[int] = []
+    shift = c.n.bit_length()
     cols = [bytearray() for _ in range(c.n)]
 
     def splice(a: int, b: int, new: Sequence[Gate]) -> None:
-        """Replace gates[a:b] with new, keeping info, adds and cols in step."""
+        """Replace gates[a:b] with new, keeping info, adds, keys and cols
+        in step."""
         gates[a:b] = new
         info[a:b] = new_info = [_info(g) for g in new]
         adds[a:b] = [add for _, _, add, _ in new_info]
+        keys[a:b] = [(_CODES[g.kind][0] << shift | g.qubits[0]) << shift
+                     | g.qubits[-1] for g in new]
         blank = bytes(len(new))
         for col in cols:
             col[a:b] = blank
@@ -400,7 +427,7 @@ def match_and_apply(
             root = roots.get(gates[i].kind)
             found = (
                 None if root is None
-                else _best_match(root, info, adds, cols, i)
+                else _best_match(root, info, adds, keys, cols, i)
             )
             if found is None:
                 dirty[i] = False

@@ -128,6 +128,9 @@ def test_relabeled():
     [
         (lambda: Circuit(2, (cx(0, 1),)).relabeled([0]), "cx 0 1: qubit 1 "),
         (lambda: h(0).relabeled({}), "h 0: qubit 0 "),
+        # A mapping that cannot be indexed maps no qubit.
+        (lambda: h(0).relabeled(5), "gate h 0: qubit 0 "),
+        (lambda: Circuit(1, [h(0)]).relabeled(None), "^gate h 0: qubit 0 "),
     ],
 )
 def test_relabel_miss_names_the_qubit(call, pattern):

@@ -49,6 +49,19 @@ def _by_id(tid: str):
     return tuple(t for t in builtin_templates() if t.id == tid)
 
 
+# Caller templates whose rotations search a CX, a SWAP and a CZ on no,
+# one or two bound wires, a CX bound on either its control or its
+# target, and one-qubit gates on free wires below a root.
+_EXTRA = (
+    Template("h_cz", (h(0), cz(1, 2), h(0), cz(1, 2)), 3),
+    Template("double_cx", (cx(0, 1), cx(0, 1)), 2),
+    Template("double_swap", (swap(0, 1), swap(0, 1)), 2),
+    Template("xzy", (x(0), z(0), y(0)), 1),
+    Template("x_cx", (x(1), cx(0, 1), x(1), cx(0, 1)), 2),
+    Template("z_cx", (z(0), cx(0, 1), z(0), cx(0, 1)), 2),
+)
+
+
 def test_full_match_erases_template():
     for t in builtin_templates():
         out = match_and_apply(Circuit(t.size, t.gates), (t,))
@@ -214,20 +227,10 @@ def test_wide_cz_form_outputs_match_recorded_digest():
 
 def test_caller_templates_outputs_match_recorded_digest():
     # The built-in rotations search a CX nowhere and a two-qubit gate
-    # with at most one wire bound rarely. These caller templates add
-    # searches for a CX, a SWAP and a CZ on no, one or two bound wires,
-    # a CX bound on either its control or its target, and one-qubit
-    # gates on free wires below a root. The digest was recorded before
-    # each trie node resolved its search shape when the trie was built.
-    extra = (
-        Template("h_cz", (h(0), cz(1, 2), h(0), cz(1, 2)), 3),
-        Template("double_cx", (cx(0, 1), cx(0, 1)), 2),
-        Template("double_swap", (swap(0, 1), swap(0, 1)), 2),
-        Template("xzy", (x(0), z(0), y(0)), 1),
-        Template("x_cx", (x(1), cx(0, 1), x(1), cx(0, 1)), 2),
-        Template("z_cx", (z(0), cx(0, 1), z(0), cx(0, 1)), 2),
-    )
-    templates = builtin_templates() + extra
+    # with at most one wire bound rarely; _EXTRA adds those searches.
+    # The digest was recorded before each trie node resolved its search
+    # shape when the trie was built.
+    templates = builtin_templates() + _EXTRA
     rng = random.Random(3)
     digest = hashlib.sha256()
     for _ in range(30):
@@ -307,31 +310,37 @@ def test_trie_nodes_hold_the_best_score_of_the_prefixes_ending_there():
     # gate rotation licenses a rewrite when 2p >= m, the wires of the
     # remainder are among the prefix's, and (two-qubit weight, gate
     # count) strictly falls when the remainder, inverted, replaces it.
-    templates = builtin_templates()
-    roots = _trie(templates, frozenset(GATE_ARITY))
-    expected = {}
-    for index, rot in enumerate(_rotations(templates)):
-        m = len(rot)
-        node = roots[rot[0].kind]
-        for p in range(1, m + 1):
-            node = node.children[rot[p - 1]]
-            head, rest = rot[:p], rot[p:]
-            weight = [Circuit(3, w).two_qubit_count for w in (head, rest)]
-            delta = (weight[1] - weight[0], len(rest) - len(head))
-            head_wires = {w for g in head for w in g.qubits}
-            rest_wires = {w for g in rest for w in g.qubits}
-            if 2 * p >= m and delta < (0, 0) and rest_wires <= head_wires:
-                word = tuple(g.inverse() for g in reversed(rest))
-                score = (delta, -p, index, word)
-                expected[id(node)] = min(score, expected.get(id(node), score))
-    stack = list(roots.values())
-    scored = 0
-    while stack:
-        node = stack.pop()
-        assert node.score == expected.get(id(node), _NO_SCORE)
-        scored += node.score is not _NO_SCORE
-        stack.extend(node.children.values())
-    assert scored == len(expected) > 0
+    # The walk compares ranks, so over every pair of nodes rank order
+    # must be score order: an unscored node ranks after every scored one.
+    for templates in (builtin_templates(), builtin_templates() + _EXTRA):
+        roots = _trie(templates, frozenset(GATE_ARITY))
+        expected = {}
+        for index, rot in enumerate(_rotations(templates)):
+            m = len(rot)
+            node = roots[rot[0].kind]
+            for p in range(1, m + 1):
+                node = node.children[rot[p - 1]]
+                head, rest = rot[:p], rot[p:]
+                weight = [Circuit(3, w).two_qubit_count for w in (head, rest)]
+                delta = (weight[1] - weight[0], len(rest) - len(head))
+                head_wires = {w for g in head for w in g.qubits}
+                rest_wires = {w for g in rest for w in g.qubits}
+                if 2 * p >= m and delta < (0, 0) and rest_wires <= head_wires:
+                    word = tuple(g.inverse() for g in reversed(rest))
+                    score = (delta, -p, index, word)
+                    expected[id(node)] = min(
+                        score, expected.get(id(node), score)
+                    )
+        stack, nodes = list(roots.values()), []
+        while stack:
+            nodes.append(node := stack.pop())
+            assert node.score == expected.get(id(node), _NO_SCORE)
+            stack.extend(node.children.values())
+        scored = [v for v in nodes if v.score is not _NO_SCORE]
+        assert len(scored) == len(expected) > 0
+        for u, v in itertools.combinations(nodes, 2):
+            assert (u.rank < v.rank) == (u.score < v.score)
+            assert (u.rank == v.rank) == (u.score == v.score)
 
 
 def test_window_edge_on_one_wire():
@@ -355,6 +364,16 @@ def test_matcher_is_equivariant_under_monotone_relabeling():
         narrow = random_circuit(rng, n, rng.randrange(50, 201))
         labels = sorted(rng.sample(range(64), n))
         wide = Circuit(64, tuple(g.relabeled(labels) for g in narrow.gates))
+        expected = tuple(
+            g.relabeled(labels) for g in match_and_apply(narrow).gates
+        )
+        assert match_and_apply(wide).gates == expected
+    # A gate key packs each operand into n.bit_length() bits; packed into
+    # 10 bits, cz(1, 2) and cz(0, 1026) would share one.
+    labels = [0, 1, 2, 1026]
+    for _ in range(4):
+        narrow = random_circuit(rng, 4, 200)
+        wide = Circuit(1027, tuple(g.relabeled(labels) for g in narrow.gates))
         expected = tuple(
             g.relabeled(labels) for g in match_and_apply(narrow).gates
         )

@@ -63,6 +63,7 @@ IX, IZ = PauliOperator.from_label("IX"), PauliOperator.from_label("IZ")
         (lambda: Circuit.from_text(None), "text None is not a str"),
         (lambda: Circuit(2, h(0)), "gates Gate.* is not iterable"),
         (lambda: Circuit(2, None), "gates None is not iterable"),
+        (lambda: Circuit(2).extended(5), "gates 5 is not iterable"),
         # A bool is a truth value, not a qubit, a width or a bit mask.
         (lambda: Gate("cx", (False, True)), "gate 'cx' qubit False is not an integer"),
         (lambda: CliffordTableau(True), "tableau width n True is not an integer"),
