@@ -237,7 +237,7 @@ class Circuit:
         return Circuit(self.n, tuple(g.inverse() for g in reversed(self.gates)))
 
     def extended(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.n, self.gates + Circuit(self.n, gates).gates)
+        return self + Circuit(self.n, gates)
 
     def relabeled(self, mapping) -> "Circuit":
         return Circuit(self.n, tuple(g.relabeled(mapping) for g in self.gates))

@@ -336,8 +336,8 @@ def test_trie_nodes_hold_the_best_score_of_the_prefixes_ending_there():
             nodes.append(node := stack.pop())
             assert node.score == expected.get(id(node), _NO_SCORE)
             stack.extend(node.children.values())
-        scored = [v for v in nodes if v.score is not _NO_SCORE]
-        assert len(scored) == len(expected) > 0
+        scored = sum(v.score is not _NO_SCORE for v in nodes)
+        assert scored == len(expected) > 0
         for u, v in itertools.combinations(nodes, 2):
             assert (u.rank < v.rank) == (u.score < v.score)
             assert (u.rank == v.rank) == (u.score == v.score)
@@ -358,26 +358,22 @@ def test_matcher_is_equivariant_under_monotone_relabeling():
     # to 256 bits. An order-preserving relabeling keeps the operand order
     # of every CZ and SWAP, so the wide output is the narrow one,
     # relabeled.
+    def check(narrow, labels, width):
+        wide = Circuit(width, tuple(g.relabeled(labels) for g in narrow.gates))
+        expected = tuple(
+            g.relabeled(labels) for g in match_and_apply(narrow).gates
+        )
+        assert match_and_apply(wide).gates == expected
+
     rng = random.Random(29)
     for _ in range(30):
         n = rng.randrange(2, 7)
         narrow = random_circuit(rng, n, rng.randrange(50, 201))
-        labels = sorted(rng.sample(range(64), n))
-        wide = Circuit(64, tuple(g.relabeled(labels) for g in narrow.gates))
-        expected = tuple(
-            g.relabeled(labels) for g in match_and_apply(narrow).gates
-        )
-        assert match_and_apply(wide).gates == expected
+        check(narrow, sorted(rng.sample(range(64), n)), 64)
     # A gate key packs each operand into n.bit_length() bits; packed into
     # 10 bits, cz(1, 2) and cz(0, 1026) would share one.
-    labels = [0, 1, 2, 1026]
     for _ in range(4):
-        narrow = random_circuit(rng, 4, 200)
-        wide = Circuit(1027, tuple(g.relabeled(labels) for g in narrow.gates))
-        expected = tuple(
-            g.relabeled(labels) for g in match_and_apply(narrow).gates
-        )
-        assert match_and_apply(wide).gates == expected
+        check(random_circuit(rng, 4, 200), [0, 1, 2, 1026], 1027)
 
 
 def test_caller_template_must_be_identity():
