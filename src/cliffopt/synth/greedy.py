@@ -87,6 +87,12 @@ _PAIRS = tuple(
         key=itemgetter(0),
     )
 )
+# _PAIRS without mirrors: of (f1, f2) and (f2, f1), the one with f1 < f2.
+_ASCENDING_PAIRS = tuple(
+    (f1, ups)
+    for f1, partners in _PAIRS
+    if (ups := tuple(p for p in partners if p[0] > f1))
+)
 
 # Grid index of the same Pauli with its two qubits swapped.
 _TRANSPOSE = tuple((f & 3) << 2 | f >> 2 for f in range(16))
@@ -197,15 +203,21 @@ def greedy_bidirectional(
     costs at least 1, so a pair grid entry with |supp O| >= cut is never
     paired. A triple costs 2, so for each q0 only the entries with
     |supp O| < cut - 1 of each partner's grid are paired. The cut only
-    falls, so a list filtered with an earlier cut is a superset. As
-    ``pair_cost_bits`` is symmetric in the pair, triple (q0, q2, q1)
-    holds the candidates of (q0, q1, q2) swapped, at the same cost: for
-    q1 < q2 the scan keeps those that beat the cut and replays them in
-    the scan order of (q0, q2, q1).
+    falls, so a list filtered with an earlier cut is a superset.
+
+    A mirror exchanges P and P': pair pattern (f2, f1) on the same
+    qubits, or triple (q0, q2, q1) with the sides swapped. It costs the
+    same, as ``pair_cost_bits`` is symmetric, and comes later in the
+    scan. So without an rng the scan skips mirrors: pairs with f1 < f2
+    and triples with q1 < q2 only. An rng pool keeps the full scan's
+    order, every orientation included.
     """
     if rng is not None and not isinstance(rng, random.Random):
         raise ValueError(f"rng {rng!r} is not a random.Random")
-    keep = 1 if rng is None else _POOL
+    keep, pairs, partners = (
+        (1, _ASCENDING_PAIRS, combinations) if rng is None
+        else (_POOL, _PAIRS, permutations)
+    )
 
     def step(work, ordered, emit):
         # One signed read serves the scan and the images (O, O').
@@ -241,11 +253,11 @@ def greedy_bidirectional(
         for qubits in combinations(ordered, 2):
             grid = grids[qubits]
             fits = [occ.bit_count() < cut for _, _, occ in grid]
-            for f1, partners in _PAIRS:
+            for f1, f2s in pairs:
                 if not fits[f1]:
                     continue
                 ox, oz, occ = grid[f1]
-                for f2, pcost in partners:
+                for f2, pcost in f2s:
                     if fits[f2]:
                         o2x, o2z, occ2 = grid[f2]
                         if pcost - 1 + (occ | occ2).bit_count() < cut:
@@ -253,7 +265,7 @@ def greedy_bidirectional(
                             if cost < cut:
                                 cut = admit(cost, qubits, f1, qubits, f2)
 
-        # Triples (q0, q1, q2) in permutations(ordered, 3) order, and
+        # Triples (q0, q1, q2) by q0, then q1, then q2, and in
         # (ls, ms, lx, my) order within each.
         for q0 in ordered:
             # Per partner q, the entries of (q0, q) by letter ls on q0.
@@ -272,16 +284,7 @@ def greedy_bidirectional(
                             side.append((ls, row))
                     if side:
                         sides[q] = side
-            # Candidates of (q0, q1, q2), q1 < q2, swapped for (q0, q2, q1)
-            # and keyed by their scan order (ls, ms, lx, my) there.
-            mirrored = {}
-            for q1, q2 in permutations(sides, 2):
-                if q2 < q1:
-                    for *_, cost, f1, f2 in sorted(mirrored.get((q2, q1), ())):
-                        if cost < cut:
-                            cut = admit(cost, (q0, q1), f1, (q0, q2), f2)
-                    continue
-                kept = []
+            for q1, q2 in partners(sides, 2):
                 for ls, row1 in sides[q1]:
                     for ms, row2 in sides[q2]:
                         if ls == ms:
@@ -294,11 +297,6 @@ def greedy_bidirectional(
                                         cut = admit(
                                             cost, (q0, q1), f1, (q0, q2), f2
                                         )
-                                        kept.append(
-                                            (ms, ls, f2 & 3, f1 & 3, cost, f2, f1)
-                                        )
-                if kept:
-                    mirrored[q1, q2] = kept
 
         _, qubits, f1, qubits2, f2 = best[
             0 if rng is None else rng.randrange(len(best))

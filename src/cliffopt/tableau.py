@@ -230,7 +230,7 @@ def random_clifford(n: int, seed: int) -> CliffordTableau:
     """
     from .synth.disentangle import clean_pair_gates
 
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     tab = CliffordTableau.identity(n)
     for m in range(1, n + 1):
         o, o2 = _random_anticommuting_pair(rng, m, n)

@@ -22,6 +22,7 @@ from cliffopt.synth.disentangle import (
     pair_cost_bits,
 )
 from cliffopt.synth.greedy import (
+    _ASCENDING_PAIRS,
     _PAIRS,
     _SINGLES,
     _TRANSPOSE,
@@ -154,8 +155,10 @@ def test_scan_grid_matches_conjugate():
 
 def test_scan_bounds_invariants():
     # The scan bounds each side of a candidate on its own: singles cost
-    # 0, pairs at least 1 and triples exactly 2. It replays a mirrored
-    # triple at the same cost, as pair_cost_bits is symmetric.
+    # 0, pairs at least 1 and triples exactly 2. Without an rng it skips
+    # a mirror, P and P' exchanged, which costs the same as its original
+    # since pair_cost_bits is symmetric: it walks one orientation of each
+    # pair pattern, and triples (q0, q1, q2) with q1 < q2 only.
     assert {pcost for _, _, pcost in _SINGLES} == {0}
     assert min(pcost for _, partners in _PAIRS for _, pcost in partners) == 1
     for f1, f2 in TRIPLES:
@@ -165,6 +168,14 @@ def test_scan_bounds_invariants():
         assert pair_cost_bits(*bits) == 2
     for x1, z1, x2, z2 in product(range(8), repeat=4):  # every width-3 pair
         assert pair_cost_bits(x1, z1, x2, z2) == pair_cost_bits(x2, z2, x1, z1)
+    pairs = {(f1, f2): pcost for f1, partners in _PAIRS for f2, pcost in partners}
+    assert all(pairs[f2, f1] == pcost for (f1, f2), pcost in pairs.items())
+    ascending = [(f1, f2, pcost) for f1, ps in _ASCENDING_PAIRS for f2, pcost in ps]
+    assert all(f1 < f2 and pairs[f1, f2] == pcost for f1, f2, pcost in ascending)
+    assert sorted(frozenset((f1, f2)) for f1, f2, _ in ascending) == sorted(
+        frozenset(f) for f in pairs if f[0] < f[1]
+    )
+    assert len(ascending) == len(pairs) // 2 == 54
 
 
 def reference_bidirectional(t, rng=None):
@@ -222,9 +233,11 @@ def reference_bidirectional(t, rng=None):
 def test_bidirectional_matches_unpruned_scan():
     # The recorded digests pin fixed seeds only; a pruned scan that keeps
     # a tied candidate out of scan order can pass them and still differ.
-    # In random_clifford(8, 368) with Random(0), two tied candidates of a
-    # mirrored triple enter the pool of four: a replay of triple
-    # (q0, q2, q1) in the scan order of (q0, q1, q2) changes the output.
+    # In random_clifford(8, 368) with Random(0), a triple candidate and
+    # its tied mirror both enter the pool of four, so the rng scan must
+    # reach the mirror at its own place, in the (ls, ms, lx, my) order of
+    # triple (q0, q2, q1): a scan that skips mirrors with an rng, or
+    # admits each right after its original, changes the output.
     cases = [(n, seed) for n in range(2, 10) for seed in range(3 if n < 8 else 1)]
     for n, seed in (*cases, (8, 368)):
         t = random_clifford(n, seed)

@@ -82,6 +82,13 @@ IX, IZ = PauliOperator.from_label("IX"), PauliOperator.from_label("IZ")
         (lambda: clean_pair_gates(IX, IZ, "1"), "target '1' is not an integer"),
         (lambda: clean_pair_gates(IX, IZ, 1.5), "target 1.5 is not an integer"),
         (lambda: PauliOperator.from_label(None), "label None is not a str"),
+        # random.Random itself would seed None from the OS and take a
+        # float, a str or a bool.
+        (lambda: random_clifford(2, None), "seed None is not an integer"),
+        (lambda: random_clifford(2, 1.5), "seed 1.5 is not an integer"),
+        (lambda: random_clifford(2, "7"), "seed '7' is not an integer"),
+        (lambda: random_clifford(2, True), "seed True is not an integer"),
+        (lambda: random_clifford(2, [1]), r"seed \[1\] is not an integer"),
     ],
 )
 def test_wrong_type_operand_is_named(call, pattern):
@@ -102,6 +109,10 @@ def test_numpy_row_reads_as_int_at_width(n, r):
     assert t.row(r) == t.row(int(r))
     assert t.row_bits(r) == t.row_bits(int(r))
     assert t.row_phase(r) == t.row_phase(int(r))
+
+
+def test_numpy_seed_reads_as_int():
+    assert random_clifford(3, np.int64(7)) == random_clifford(3, 7)
 
 
 def test_numpy_qubit_reads_as_int_at_width():

@@ -178,3 +178,9 @@ def test_gates_are_made_in_circuit():
         )
 
     assert _modules_where(builds_gate) == {"circuit.py"}
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements; an invariant check raises
+    # explicitly so that it runs under every interpreter flag.
+    assert _modules_where(lambda node: isinstance(node, ast.Assert)) == set()
