@@ -18,9 +18,10 @@ and the qubit it freed.
 
 The scan names a letter by its code, 0-3 for I, X, Y and Z, and a Pauli
 on two qubits (a, b) by its grid index 4 la + lb: letter la on a and lb
-on b. Each step builds one grid per unordered qubit pair, holding the
-image of all 16 such Paulis, and reads the reversed pair from its
-transposed view.
+on b. Each step reads the images of the four letters on every active
+qubit, and the image of a two-qubit Pauli is the XOR of its two letter
+images. The pair phase builds all 16 for each qubit pair it scores; the
+triple phase builds only the 9 with both letters non-identity.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ _ASCENDING_PAIRS = tuple(
     for f1, partners in _PAIRS
     if (ups := tuple(p for p in partners if p[0] > f1))
 )
-
-# Grid index of the same Pauli with its two qubits swapped.
-_TRANSPOSE = tuple((f & 3) << 2 | f >> 2 for f in range(16))
 
 
 def _letters(xq: tuple, zq: tuple) -> tuple:
@@ -183,9 +181,9 @@ def greedy_bidirectional(
     A candidate is a pattern (f1, f2, cost of reducing (P, P')) placed on
     qubits. Singles put P and P' on one qubit q, at letters f1 // 4 and
     f2 // 4; pairs put both on a qubit pair (a, b). A triple (q0, q1, q2)
-    puts P at index f1 = 4 ls + lx of the grid of (q0, q1) and P' at
-    index f2 = 4 ms + my of the grid of (q0, q2), for letters ls != ms
-    and any lx and my; it always costs 2.
+    puts P at grid index f1 = 4 ls + lx on (q0, q1) and P' at grid
+    index f2 = 4 ms + my on (q0, q2), for letters ls != ms and any lx
+    and my; it always costs 2.
 
     The scan skips candidates that provably cannot be kept, so it keeps
     exactly what a full scan would. The images (O, O') of an
@@ -201,9 +199,10 @@ def greedy_bidirectional(
 
     Each side is bounded on its own before any pairing. A pair pattern
     costs at least 1, so a pair grid entry with |supp O| >= cut is never
-    paired. A triple costs 2, so for each q0 only the entries with
-    |supp O| < cut - 1 of each partner's grid are paired. The cut only
-    falls, so a list filtered with an earlier cut is a superset.
+    paired. A triple costs 2, so for each q0 and partner q only the
+    images with |supp O| < cut - 1 are paired, each the XOR of the
+    images of letter ls on q0 and lx on q. The cut only falls, so a list
+    filtered with an earlier cut is a superset.
 
     A mirror exchanges P and P': pair pattern (f2, f1) on the same
     qubits, or triple (q0, q2, q1) with the sides swapped. It costs the
@@ -224,10 +223,6 @@ def greedy_bidirectional(
         n = work.n
         rows = work._signed_rows()
         letters = {q: _letters(rows[q], rows[n + q]) for q in ordered}
-        grids = {}
-        for a, b in combinations(ordered, 2):
-            grid = grids[a, b] = _grid(letters[a], letters[b])
-            grids[b, a] = [grid[f] for f in _TRANSPOSE]
 
         # (cost, qubits of P, f1, qubits of P', f2), in scan order on ties
         best: list[tuple[int, tuple, int, tuple, int]] = []
@@ -250,8 +245,8 @@ def greedy_bidirectional(
                     if cost < cut:
                         cut = admit(cost, (q, None), f1, (q, None), f2)
 
-        for qubits in combinations(ordered, 2):
-            grid = grids[qubits]
+        for a, b in combinations(ordered, 2):
+            grid = _grid(letters[a], letters[b])
             fits = [occ.bit_count() < cut for _, _, occ in grid]
             for f1, f2s in pairs:
                 if not fits[f1]:
@@ -263,23 +258,25 @@ def greedy_bidirectional(
                         if pcost - 1 + (occ | occ2).bit_count() < cut:
                             cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
                             if cost < cut:
-                                cut = admit(cost, qubits, f1, qubits, f2)
+                                cut = admit(cost, (a, b), f1, (a, b), f2)
 
         # Triples (q0, q1, q2) by q0, then q1, then q2, and in
         # (ls, ms, lx, my) order within each.
         for q0 in ordered:
-            # Per partner q, the entries of (q0, q) by letter ls on q0.
+            # Per partner q, the entries (4 ls + lx, x, z, x | z) of
+            # (q0, q) by letter ls on q0.
             sides = {}
             for q in ordered:
                 if q != q0:
-                    grid = grids[q0, q]
                     side = []
                     for ls in (1, 2, 3):
-                        row = [
-                            (f, *grid[f])
-                            for f in range(4 * ls + 1, 4 * ls + 4)
-                            if grid[f][2].bit_count() < cut - 1
-                        ]
+                        xs, zs = letters[q0][ls]
+                        row = []
+                        for lx in (1, 2, 3):
+                            xq, zq = letters[q][lx]
+                            x, z = xs ^ xq, zs ^ zq
+                            if (x | z).bit_count() < cut - 1:
+                                row.append((4 * ls + lx, x, z, x | z))
                         if row:
                             side.append((ls, row))
                     if side:

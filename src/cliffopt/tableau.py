@@ -231,33 +231,24 @@ def random_clifford(n: int, seed: int) -> CliffordTableau:
     from .synth.disentangle import clean_pair_gates
 
     rng = random.Random(_integer(seed, "seed"))
+
+    def draw(accept) -> PauliOperator:
+        """A uniform Hermitian Pauli on qubits 0..m-1, m the loop's
+        current width, whose x and z bits pass accept; its sign is
+        uniform."""
+        while True:
+            bits = rng.getrandbits(2 * m)
+            x, z = bits & ((1 << m) - 1), bits >> m
+            if accept(x, z):
+                y = (x & z).bit_count()
+                return PauliOperator(n, x, z, (y + 2 * rng.getrandbits(1)) % 4)
+
     tab = CliffordTableau.identity(n)
     for m in range(1, n + 1):
-        o, o2 = _random_anticommuting_pair(rng, m, n)
+        o = draw(lambda x, z: x or z)
+        o2 = draw(lambda x, z: anticommute_bits(o.x_bits, o.z_bits, x, z))
         d_gates = clean_pair_gates(o, o2, target=m - 1)
         # The creation circuit is the inverse of the cleaning sequence.
         for gate in reversed(d_gates):
             tab._apply_inplace(gate.inverse())
     return tab
-
-
-def _random_anticommuting_pair(
-    rng: random.Random, m: int, n: int
-) -> tuple[PauliOperator, PauliOperator]:
-    """Uniform Hermitian anticommuting pair supported on qubits 0..m-1."""
-    mask = (1 << m) - 1
-    while True:
-        bits = rng.getrandbits(2 * m)
-        x1, z1 = bits & mask, bits >> m
-        if x1 or z1:
-            break
-    y1 = (x1 & z1).bit_count()
-    o = PauliOperator(n, x1, z1, (y1 + 2 * rng.getrandbits(1)) % 4)
-    while True:
-        bits = rng.getrandbits(2 * m)
-        x2, z2 = bits & mask, bits >> m
-        if anticommute_bits(x1, z1, x2, z2):
-            break
-    y2 = (x2 & z2).bit_count()
-    o2 = PauliOperator(n, x2, z2, (y2 + 2 * rng.getrandbits(1)) % 4)
-    return o, o2

@@ -25,7 +25,6 @@ from cliffopt.synth.greedy import (
     _ASCENDING_PAIRS,
     _PAIRS,
     _SINGLES,
-    _TRANSPOSE,
     _grid,
     _letters,
     _pauli,
@@ -143,11 +142,6 @@ def test_scan_grid_matches_conjugate():
                         assert grid[f] == (
                             o.x_bits, o.z_bits, o.x_bits | o.z_bits
                         )
-                    # The scan reads the grid of (b, a) as this view.
-                    assert [grid[f] for f in _TRANSPOSE] == _grid(
-                        _letters(rows[b], rows[n + b]),
-                        _letters(rows[a], rows[n + a]),
-                    )
     assert len(_SINGLES) == 6
     assert sum(len(partners) for _, partners in _PAIRS) == 108
     assert _SINGLES[0][:2] == (4 * 1, 4 * 3)  # (X, Z) leads
@@ -235,9 +229,11 @@ def test_bidirectional_matches_unpruned_scan():
     # its tied mirror both enter the pool of four, so the rng scan must
     # reach the mirror at its own place, in the (ls, ms, lx, my) order of
     # triple (q0, q2, q1): a scan that skips mirrors with an rng, or
-    # admits each right after its original, changes the output.
+    # admits each right after its original, changes the output. The
+    # benchmark runs the scan at n = 6..16; (12, 0) and (16, 1) pin its
+    # upper widths.
     cases = [(n, seed) for n in range(2, 10) for seed in range(3 if n < 8 else 1)]
-    for n, seed in (*cases, (8, 368)):
+    for n, seed in (*cases, (8, 368), (12, 0), (16, 1)):
         t = random_clifford(n, seed)
         assert greedy_bidirectional(t) == reference_bidirectional(t)
         assert greedy_bidirectional(

@@ -184,3 +184,14 @@ def test_no_assert_in_package():
     # python -O strips assert statements; an invariant check raises
     # explicitly so that it runs under every interpreter flag.
     assert _modules_where(lambda node: isinstance(node, ast.Assert)) == set()
+
+
+def test_grammar_parses_at_oldest_supported_python():
+    # Only a newer interpreter may be at hand, so each file is parsed with
+    # the grammar of the oldest Python that pyproject.toml admits. That
+    # version has no tomllib, hence the regex.
+    spec = (ROOT / "pyproject.toml").read_text()
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', spec).group(1))
+    for top in ("src/cliffopt", "perfbench", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            ast.parse(path.read_text(), str(path), feature_version=(3, minor))
