@@ -46,9 +46,10 @@ def ag_canonical(t: CliffordTableau) -> Circuit:
         for j in _bits(px, k + 1):
             emit(cx(k, j))
         px, pz = work.row_bits(k)
+        # CZ(k, j) leaves z_k alone, as x_j = 0 for every j > k by now.
         for j in _bits(pz, k + 1):
             emit(cz(k, j))
-        if (work.row_bits(k)[1] >> k) & 1:
+        if (pz >> k) & 1:
             emit(s(k))
 
         qx, qz = work.row_bits(n + k)

@@ -7,7 +7,8 @@ images of (X_p, Z_p) for the cheapest still-active p, emitting gates on
 one side only. The bidirectional driver scans low-weight pairs (P, P')
 of inputs, compares the cost of reducing (P, P') against the cost of
 reducing their images (O, O') = (U P U^-1, U P' U^-1), and emits gates
-on both sides at once, which empirically lowers the CX count.
+on both sides at once, which empirically lowers the CX count. An rng
+draws the order in which its scan walks the qubits, once per call.
 
 The three synthesizers, ``greedy_unidirectional``, ``greedy_bidirectional``
 and ``canonical.ag_canonical``, each run one step per qubit in one loop,
@@ -28,17 +29,13 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import insort
-from itertools import combinations, groupby, permutations
+from itertools import combinations, groupby
 from operator import itemgetter
 
 from ..circuit import Circuit, Gate, _expect
 from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits
 from ..tableau import CliffordTableau, _image
 from .disentangle import _class_masks, clean_pair_gates, pair_cost_bits
-
-# With an rng, the bidirectional scan draws from this many cheapest candidates.
-_POOL = 4
 
 _LETTERS = "IXYZ"
 
@@ -74,25 +71,20 @@ _SINGLES = _patterns(
     (4 * _LETTERS.index(l1), 4 * _LETTERS.index(l2))
     for l1, l2 in ("XZ", "XY", "YX", "YZ", "ZX", "ZY")
 )
-# Ordered anticommuting pairs on two qubits, each qubit touched, grouped
-# by f1 as (f1, ((f2, cost), ...)); every cost is at least 1.
+# Anticommuting pairs on two qubits, each qubit touched, grouped by f1 as
+# (f1, ((f2, cost), ...)); every cost is at least 1. Of (f1, f2) and its
+# mirror (f2, f1), which costs the same, only the one with f1 < f2.
 _PAIRS = tuple(
     (f1, tuple((f2, cost) for _, f2, cost in group))
     for f1, group in groupby(
         _patterns(
             (f1, f2)
             for f1 in range(1, 16)
-            for f2 in range(1, 16)
+            for f2 in range(f1 + 1, 16)
             if (f1 | f2) & 3 and (f1 | f2) >> 2
         ),
         key=itemgetter(0),
     )
-)
-# _PAIRS without mirrors: of (f1, f2) and (f2, f1), the one with f1 < f2.
-_ASCENDING_PAIRS = tuple(
-    (f1, ups)
-    for f1, partners in _PAIRS
-    if (ups := tuple(p for p in partners if p[0] > f1))
 )
 
 
@@ -173,10 +165,12 @@ def greedy_bidirectional(
     Each step scans anticommuting input pairs (P, P') of weight at most
     two whose supports overlap, scores them by the reduction cost of
     (P, P') plus that of their images, and reduces the best onto a fresh
-    qubit from both ends. Without an rng the scan keeps the first
-    cheapest candidate; with one it draws uniformly from the four
-    cheapest. The left reduction lands on the anchor of the images, so
-    it needs no SWAP; the right one may end with a SWAP onto it.
+    qubit from both ends, keeping the first cheapest candidate. The scan
+    walks the active qubits in a qubit order: ascending without an rng,
+    and with one an order drawn once per call by ``rng.sample``, so
+    seeded restarts break ties and follow greedy paths differently. The
+    left reduction lands on the anchor of the images, so it needs no
+    SWAP; the right one may end with a SWAP onto it.
 
     A candidate is a pattern (f1, f2, cost of reducing (P, P')) placed on
     qubits. Singles put P and P' on one qubit q, at letters f1 // 4 and
@@ -191,11 +185,10 @@ def greedy_bidirectional(
     |supp O u supp O'| - 1: each C and D qubit costs 1, B costs |B| + 1
     and A costs 3(|A| - 1)/2 >= |A| - 1. A candidate thus costs at least
     its pattern cost minus 1 plus that union, or plus |supp O| alone.
-    The cut is the cost of the worst kept candidate once ``keep`` are
-    kept; before that nothing is skipped. A candidate whose bound is not
-    below the cut is skipped. That is exact: a skipped candidate could at
-    best tie a kept one found earlier, and a tie keeps the one found
-    earlier.
+    The cut is the cost of the kept candidate, infinite before the
+    first. A candidate whose bound is not below the cut is skipped. That
+    is exact: a skipped candidate could at best tie the kept one, found
+    earlier, and a tie keeps the one found earlier.
 
     Each side is bounded on its own before any pairing. A pair pattern
     costs at least 1, so a pair grid entry with |supp O| >= cut is never
@@ -207,33 +200,25 @@ def greedy_bidirectional(
     A mirror exchanges P and P': pair pattern (f2, f1) on the same
     qubits, or triple (q0, q2, q1) with the sides swapped. It costs the
     same, as ``pair_cost_bits`` is symmetric, and comes later in the
-    scan. So without an rng the scan skips mirrors: pairs with f1 < f2
-    and triples with q1 < q2 only. An rng pool keeps the full scan's
-    order, every orientation included.
+    scan under any qubit order: a pair mirror sits on the same qubits,
+    later in f order, and a triple's mirror swaps q1 and q2. So the scan
+    skips mirrors: pairs with f1 < f2 and triples with q1 before q2 in
+    the qubit order only.
     """
+    _expect(t, CliffordTableau, "t")
     if rng is not None and not isinstance(rng, random.Random):
         raise ValueError(f"rng {rng!r} is not a random.Random")
-    keep, pairs, partners = (
-        (1, _ASCENDING_PAIRS, combinations) if rng is None
-        else (_POOL, _PAIRS, permutations)
-    )
+    order = range(t.n) if rng is None else rng.sample(range(t.n), t.n)
 
     def step(work, ordered, emit):
+        ordered.sort(key=order.__getitem__)
         # One signed read serves the scan and the images (O, O').
         n = work.n
         rows = work._signed_rows()
         letters = {q: _letters(rows[q], rows[n + q]) for q in ordered}
 
-        # (cost, qubits of P, f1, qubits of P', f2), in scan order on ties
-        best: list[tuple[int, tuple, int, tuple, int]] = []
-
-        def admit(*candidate) -> float:
-            """Keep a candidate that beats the cut; return the new cut."""
-            insort(best, candidate, key=itemgetter(0))
-            if len(best) > keep:
-                best.pop()
-            return best[-1][0] if len(best) == keep else math.inf
-
+        # (qubits of P, f1, qubits of P', f2) of the first cheapest candidate
+        best = None
         cut = math.inf
         for q in ordered:
             images = [(x, z, x | z) for x, z in letters[q]]
@@ -243,12 +228,12 @@ def greedy_bidirectional(
                 if pcost - 1 + (occ | occ2).bit_count() < cut:
                     cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
                     if cost < cut:
-                        cut = admit(cost, (q, None), f1, (q, None), f2)
+                        cut, best = cost, ((q, None), f1, (q, None), f2)
 
         for a, b in combinations(ordered, 2):
             grid = _grid(letters[a], letters[b])
             fits = [occ.bit_count() < cut for _, _, occ in grid]
-            for f1, f2s in pairs:
+            for f1, f2s in _PAIRS:
                 if not fits[f1]:
                     continue
                 ox, oz, occ = grid[f1]
@@ -258,10 +243,10 @@ def greedy_bidirectional(
                         if pcost - 1 + (occ | occ2).bit_count() < cut:
                             cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
                             if cost < cut:
-                                cut = admit(cost, (a, b), f1, (a, b), f2)
+                                cut, best = cost, ((a, b), f1, (a, b), f2)
 
-        # Triples (q0, q1, q2) by q0, then q1, then q2, and in
-        # (ls, ms, lx, my) order within each.
+        # Triples (q0, q1, q2) by q0, then q1, then q2 in the qubit order,
+        # and in (ls, ms, lx, my) order within each.
         for q0 in ordered:
             # Per partner q, the entries (4 ls + lx, x, z, x | z) of
             # (q0, q) by letter ls on q0.
@@ -281,7 +266,7 @@ def greedy_bidirectional(
                             side.append((ls, row))
                     if side:
                         sides[q] = side
-            for q1, q2 in partners(sides, 2):
+            for q1, q2 in combinations(sides, 2):
                 for ls, row1 in sides[q1]:
                     for ms, row2 in sides[q2]:
                         if ls == ms:
@@ -291,13 +276,11 @@ def greedy_bidirectional(
                                 if 1 + (occ | occ2).bit_count() < cut:
                                     cost = 2 + pair_cost_bits(ox, oz, o2x, o2z)
                                     if cost < cut:
-                                        cut = admit(
-                                            cost, (q0, q1), f1, (q0, q2), f2
+                                        cut, best = cost, (
+                                            (q0, q1), f1, (q0, q2), f2
                                         )
 
-        _, qubits, f1, qubits2, f2 = best[
-            0 if rng is None else rng.randrange(len(best))
-        ]
+        qubits, f1, qubits2, f2 = best
         p = _pauli(n, qubits, f1)
         p2 = _pauli(n, qubits2, f2)
         o = PauliOperator(n, *_image(rows, p.x_bits, p.z_bits, p.phase_exp))
