@@ -1,9 +1,10 @@
 """Reduce an anticommuting Pauli pair to (X_t, Z_t) with CX-optimal cost.
 
-``clean_pair_gates`` does the whole reduction. Given Hermitian
-anticommuting operators (O, O'), it first puts the pair in standard
-form: a single-qubit layer standardizes the action on every supported
-qubit, which splits the support into classes:
+``clean_pair_gates`` does the whole reduction on the signed rows
+(x bits, z bits, phase_exp) of Hermitian anticommuting operators
+(O, O'). It first puts the pair in standard form: a single-qubit layer
+standardizes the action on every supported qubit, which splits the
+support into classes:
 
   A: both act, with different letters  -> (X, Z)
   B: both act, with the same letter    -> (X, X)
@@ -20,15 +21,14 @@ and a SWAP moves the anchor to the target qubit. The CX count is exactly
 
 ``disentangler`` returns the inverse of that cleaning sequence as a
 ``Circuit``: it maps (X_0, Z_0) back to (O, O') under conjugation, and
-any SWAP it contains is its leading gate.
+any SWAP it contains is its leading gate. It and ``disentangle_cost``
+check their ``PauliOperator`` operands and pass the reducer their rows.
 """
 
 from __future__ import annotations
 
-from ..circuit import (
-    Circuit, Gate, _expect, _gate, _integer, _same_width, cx, h, swap, x, y, z
-)
-from ..pauli import PauliOperator, anticommute_bits, conjugate_columns
+from ..circuit import Circuit, Gate, _expect, _gate, _same_width, cx, h, swap, x, y, z
+from ..pauli import _BITS_AXIS, PauliOperator, anticommute_bits, conjugate_columns
 
 # Time-ordered single-qubit word standardizing one qubit's (O, O') letters.
 _LOCAL_WORDS: dict[tuple[str, str], tuple[str, ...]] = {
@@ -89,7 +89,8 @@ def _bits(mask: int, start: int = 0) -> list[int]:
     return out
 
 
-def _check_pair(o: PauliOperator, o2: PauliOperator) -> None:
+def _check_pair(o: PauliOperator, o2: PauliOperator) -> list[tuple]:
+    """The signed rows of o and o2, once checked as a pair to reduce."""
     _expect(o, PauliOperator, "o")
     _expect(o2, PauliOperator, "o2")
     _same_width(o.n, o2.n)
@@ -99,29 +100,30 @@ def _check_pair(o: PauliOperator, o2: PauliOperator) -> None:
         raise ValueError(
             f"{o.to_label()} and {o2.to_label()} commute; cannot disentangle"
         )
+    return [(p.x_bits, p.z_bits, p.phase_exp) for p in (o, o2)]
 
 
-def clean_pair_gates(
-    o: PauliOperator, o2: PauliOperator, target: int
-) -> list[Gate]:
-    """Time-ordered gates conjugating (o, o2) to exactly (X_t, Z_t).
+def clean_pair_gates(o: tuple, o2: tuple, target: int) -> list[Gate]:
+    """Time-ordered gates conjugating the rows (o, o2) to exactly (X_t, Z_t).
 
-    The anchor a = min(A) is reduced first; when it is not the target, a
+    o and o2 are the signed rows of a Hermitian anticommuting pair, checked
+    by the caller; commuting rows raise an AssertionError. The anchor
+    a = min(A) is reduced first; when it is not the target qubit, a
     trailing SWAP moves it there. The CX count is ``pair_cost_bits``.
     """
-    _check_pair(o, o2)
-    target = _integer(target, "target")
-    if not 0 <= target < o.n:
-        raise ValueError(f"target {target} out of range")
-    masks = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
-    a, b, c, d = map(_bits, masks)
+    (x1, z1, ph1), (x2, z2, ph2) = o, o2
+    a, b, c, d = map(_bits, _class_masks(x1, z1, x2, z2))
+    if len(a) % 2 == 0:
+        raise AssertionError(f"rows {o} and {o2} commute; cannot reduce them")
     support = sorted(a + b + c + d)
     anchor = a[0]
     # The standard form: one local word per supported qubit.
     gates = [
         _gate(kind, (q,))
         for q in support
-        for kind in _LOCAL_WORDS[(o.axis(q), o2.axis(q))]
+        for kind in _LOCAL_WORDS[
+            _BITS_AXIS[x1 >> q & 1, z1 >> q & 1], _BITS_AXIS[x2 >> q & 1, z2 >> q & 1]
+        ]
     ]
     gates += [cx(anchor, q) for q in c]
     gates += [cx(q, anchor) for q in d]
@@ -136,10 +138,10 @@ def clean_pair_gates(
     # The pair as a two-row tableau on its support: bit 0 is o, bit 1 o2.
     px, pz = {}, {}
     for q in support:
-        px[q] = (o.x_bits >> q) & 1 | ((o2.x_bits >> q) & 1) << 1
-        pz[q] = (o.z_bits >> q) & 1 | ((o2.z_bits >> q) & 1) << 1
-    e0 = o.phase_exp & 1 | (o2.phase_exp & 1) << 1
-    e1 = o.phase_exp >> 1 | (o2.phase_exp >> 1) << 1
+        px[q] = x1 >> q & 1 | (x2 >> q & 1) << 1
+        pz[q] = z1 >> q & 1 | (z2 >> q & 1) << 1
+    e0 = ph1 & 1 | (ph2 & 1) << 1
+    e1 = ph1 >> 1 | (ph2 >> 1) << 1
     for gate in gates:
         e0, e1 = conjugate_columns(gate, px, pz, e0, e1)
     if e0 or px[anchor] != 0b01 or pz[anchor] != 0b10:
@@ -154,11 +156,11 @@ def clean_pair_gates(
 
 def disentangler(o: PauliOperator, o2: PauliOperator) -> Circuit:
     """Circuit L with L X_0 L^-1 = o and L Z_0 L^-1 = o2, sign exact."""
-    gates = clean_pair_gates(o, o2, target=0)
+    gates = clean_pair_gates(*_check_pair(o, o2), 0)
     return Circuit(o.n, tuple(g.inverse() for g in reversed(gates)))
 
 
 def disentangle_cost(o: PauliOperator, o2: PauliOperator) -> int:
     """CX cost the disentangler will spend on the pair, without building it."""
-    _check_pair(o, o2)
-    return pair_cost_bits(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
+    (x1, z1, _), (x2, z2, _) = _check_pair(o, o2)
+    return pair_cost_bits(x1, z1, x2, z2)

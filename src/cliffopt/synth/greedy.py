@@ -33,23 +33,24 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from ..circuit import Circuit, Gate, _expect
-from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits
+from ..pauli import _AXIS_BITS, anticommute_bits
 from ..tableau import CliffordTableau, _image
 from .disentangle import _class_masks, clean_pair_gates, pair_cost_bits
 
 _LETTERS = "IXYZ"
 
 
-def _pauli(n: int, qubits: tuple, f: int) -> PauliOperator:
-    """The Pauli with grid index f on qubits: letter f // 4 on qubits[0]
-    and f % 4 on qubits[1]."""
+def _pauli(qubits: tuple, f: int) -> tuple[int, int, int]:
+    """The signed row (x bits, z bits, phase_exp) of the Pauli with grid
+    index f on qubits, letter f // 4 on qubits[0] and f % 4 on
+    qubits[1], sign +."""
     xb = zb = 0
     for q, code in zip(qubits, divmod(f, 4)):
         if code:
             xv, zv = _AXIS_BITS[_LETTERS[code]]
             xb |= xv << q
             zb |= zv << q
-    return PauliOperator(n, xb, zb, (xb & zb).bit_count() % 4)
+    return xb, zb, (xb & zb).bit_count() % 4
 
 
 def _patterns(pairs) -> tuple[tuple[int, int, int], ...]:
@@ -57,8 +58,7 @@ def _patterns(pairs) -> tuple[tuple[int, int, int], ...]:
     of grid indices on qubits (0, 1)."""
     out = []
     for f1, f2 in pairs:
-        p, p2 = _pauli(2, (0, 1), f1), _pauli(2, (0, 1), f2)
-        bits = (p.x_bits, p.z_bits, p2.x_bits, p2.z_bits)
+        bits = (*_pauli((0, 1), f1)[:2], *_pauli((0, 1), f2)[:2])
         if anticommute_bits(*bits):
             out.append((f1, f2, pair_cost_bits(*bits)))
     return tuple(out)
@@ -148,9 +148,7 @@ def greedy_unidirectional(t: CliffordTableau) -> Circuit:
         rows = work.rows_bits()
         p = min(ordered, key=lambda q: pair_cost_bits(*rows[q], *rows[n + q]))
         emit(*clean_pair_gates(
-            PauliOperator(n, *rows[p], work.row_phase(p)),
-            PauliOperator(n, *rows[n + p], work.row_phase(n + p)),
-            target=p,
+            (*rows[p], work.row_phase(p)), (*rows[n + p], work.row_phase(n + p)), p
         ))
         return (), p
 
@@ -281,16 +279,14 @@ def greedy_bidirectional(
                                         )
 
         qubits, f1, qubits2, f2 = best
-        p = _pauli(n, qubits, f1)
-        p2 = _pauli(n, qubits2, f2)
-        o = PauliOperator(n, *_image(rows, p.x_bits, p.z_bits, p.phase_exp))
-        o2 = PauliOperator(n, *_image(rows, p2.x_bits, p2.z_bits, p2.phase_exp))
-        a_mask, _, _, _ = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
+        p, p2 = _pauli(qubits, f1), _pauli(qubits2, f2)
+        o, o2 = _image(rows, *p), _image(rows, *p2)
+        a_mask, _, _, _ = _class_masks(o[0], o[1], o2[0], o2[1])
         j = (a_mask & -a_mask).bit_length() - 1
-        dl_gates = clean_pair_gates(o, o2, target=j)
+        dl_gates = clean_pair_gates(o, o2, j)
         if dl_gates and dl_gates[-1].kind == "swap":
             raise AssertionError("left reduction should land on its anchor")
         emit(*dl_gates)
-        return clean_pair_gates(p, p2, target=j), j
+        return clean_pair_gates(p, p2, j), j
 
     return _peel(t, step)

@@ -232,22 +232,22 @@ def random_clifford(n: int, seed: int) -> CliffordTableau:
 
     rng = random.Random(_integer(seed, "seed"))
 
-    def draw(accept) -> PauliOperator:
-        """A uniform Hermitian Pauli on qubits 0..m-1, m the loop's
-        current width, whose x and z bits pass accept; its sign is
-        uniform."""
+    def draw(accept) -> tuple[int, int, int]:
+        """The signed row of a uniform Hermitian Pauli on qubits 0..m-1,
+        m the loop's current width, whose x and z bits pass accept; its
+        sign is uniform."""
         while True:
             bits = rng.getrandbits(2 * m)
             x, z = bits & ((1 << m) - 1), bits >> m
             if accept(x, z):
                 y = (x & z).bit_count()
-                return PauliOperator(n, x, z, (y + 2 * rng.getrandbits(1)) % 4)
+                return x, z, (y + 2 * rng.getrandbits(1)) % 4
 
     tab = CliffordTableau.identity(n)
     for m in range(1, n + 1):
         o = draw(lambda x, z: x or z)
-        o2 = draw(lambda x, z: anticommute_bits(o.x_bits, o.z_bits, x, z))
-        d_gates = clean_pair_gates(o, o2, target=m - 1)
+        o2 = draw(lambda x, z: anticommute_bits(o[0], o[1], x, z))
+        d_gates = clean_pair_gates(o, o2, m - 1)
         # The creation circuit is the inverse of the cleaning sequence.
         for gate in reversed(d_gates):
             tab._apply_inplace(gate.inverse())

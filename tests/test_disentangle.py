@@ -1,6 +1,7 @@
 """Pair reduction: class split, exactness, and cost."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -53,10 +54,33 @@ def test_standard_form_rejects_commuting():
         )
 
 
-def test_target_out_of_range_is_rejected():
-    xi, zi = PauliOperator.from_label("XI"), PauliOperator.from_label("ZI")
-    with pytest.raises(ValueError, match="target 5 out of range"):
-        clean_pair_gates(xi, zi, 5)
+def test_reducer_rejects_commuting_rows():
+    # Rows anticommute exactly when |A| is odd: an empty A (X, X) and an
+    # even one (XX, ZZ) both commute.
+    for o, o2 in (((1, 0, 0), (1, 0, 0)), ((3, 0, 0), (0, 3, 0))):
+        message = re.escape(f"rows {o} and {o2} commute")
+        with pytest.raises(AssertionError, match=message):
+            clean_pair_gates(o, o2, 0)
+
+
+def test_reducer_lands_on_every_target():
+    # The synthesizers reduce onto any qubit; disentangler onto qubit 0 only.
+    rng = random.Random(59)
+    seen_swap = 0
+    for n in range(1, 13):
+        for _ in range(12):
+            p, p2 = random_anticommuting_pair(rng, n)
+            o, o2 = [(q.x_bits, q.z_bits, q.phase_exp) for q in (p, p2)]
+            for t in range(n):
+                gates = clean_pair_gates(o, o2, t)
+                circuit = Circuit(n, gates)
+                assert conjugate_pauli(circuit, p) == PauliOperator(n, 1 << t, 0)
+                assert conjugate_pauli(circuit, p2) == PauliOperator(n, 0, 1 << t)
+                assert circuit.count_kind("cx") == pair_cost_bits(*o[:2], *o2[:2])
+                swaps = [i for i, g in enumerate(gates) if g.kind == "swap"]
+                assert swaps in ([], [len(gates) - 1])
+                seen_swap += bool(swaps)
+    assert seen_swap > 0
 
 
 def test_rejects_non_hermitian():

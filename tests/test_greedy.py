@@ -147,7 +147,7 @@ def test_scan_grid_matches_conjugate():
                         _letters(rows[b], rows[n + b]),
                     )
                     for f in range(1, 16):
-                        o = t.conjugate(_pauli(n, (a, b), f))
+                        o = t.conjugate(PauliOperator(n, *_pauli((a, b), f)))
                         assert grid[f] == (
                             o.x_bits, o.z_bits, o.x_bits | o.z_bits
                         )
@@ -164,8 +164,7 @@ def test_scan_bounds_invariants():
     assert {pcost for _, _, pcost in _SINGLES} == {0}
     assert min(pcost for _, _, pcost in ALL_PAIRS) == 1
     for f1, f2 in TRIPLES:
-        p, p2 = _pauli(3, (0, 1), f1), _pauli(3, (0, 2), f2)
-        bits = (p.x_bits, p.z_bits, p2.x_bits, p2.z_bits)
+        bits = (*_pauli((0, 1), f1)[:2], *_pauli((0, 2), f2)[:2])
         assert anticommute_bits(*bits)
         assert pair_cost_bits(*bits) == 2
     for x1, z1, x2, z2 in product(range(8), repeat=4):  # every width-3 pair
@@ -215,14 +214,12 @@ def reference_bidirectional(t, rng=None):
             cost = pcost + pair_cost_bits(ox, oz, o2x, o2z)
             scored.append((cost, index, qubits, f1, qubits2, f2))
         _, _, qubits, f1, qubits2, f2 = min(scored)
-        p = _pauli(n, qubits, f1)
-        p2 = _pauli(n, qubits2, f2)
-        o = PauliOperator(n, *_image(rows, p.x_bits, p.z_bits, p.phase_exp))
-        o2 = PauliOperator(n, *_image(rows, p2.x_bits, p2.z_bits, p2.phase_exp))
-        a_mask, _, _, _ = _class_masks(o.x_bits, o.z_bits, o2.x_bits, o2.z_bits)
+        p, p2 = _pauli(qubits, f1), _pauli(qubits2, f2)
+        o, o2 = _image(rows, *p), _image(rows, *p2)
+        a_mask, _, _, _ = _class_masks(o[0], o[1], o2[0], o2[1])
         j = (a_mask & -a_mask).bit_length() - 1
-        emit(*clean_pair_gates(o, o2, target=j))
-        return clean_pair_gates(p, p2, target=j), j
+        emit(*clean_pair_gates(o, o2, j))
+        return clean_pair_gates(p, p2, j), j
 
     return _peel(t, step)
 

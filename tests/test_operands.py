@@ -23,12 +23,10 @@ from cliffopt import (
 )
 from cliffopt.matching import match_and_apply
 from cliffopt.stages import merge_swaps, partition_stages, pauli_layer_gates
-from cliffopt.synth.disentangle import clean_pair_gates
 from cliffopt.templates import Template
 
 T = random_clifford(3, 1)
 X2, Z2 = PauliOperator.from_label("XI"), PauliOperator.from_label("ZI")
-IX, IZ = PauliOperator.from_label("IX"), PauliOperator.from_label("IZ")
 
 
 @pytest.mark.parametrize(
@@ -78,9 +76,6 @@ IX, IZ = PauliOperator.from_label("IX"), PauliOperator.from_label("IZ")
             "templates Template.* is not iterable",
         ),
         (lambda: match_and_apply(Circuit(1), 5), "templates 5 is not iterable"),
-        (lambda: clean_pair_gates(IX, IZ, True), "target True is not an integer"),
-        (lambda: clean_pair_gates(IX, IZ, "1"), "target '1' is not an integer"),
-        (lambda: clean_pair_gates(IX, IZ, 1.5), "target 1.5 is not an integer"),
         (lambda: PauliOperator.from_label(None), "label None is not a str"),
         # random.Random itself would seed None from the OS and take a
         # float, a str or a bool.
@@ -117,4 +112,3 @@ def test_numpy_seed_reads_as_int():
 
 def test_numpy_qubit_reads_as_int_at_width():
     assert PauliOperator(70, 1 << 69, 0).axis(np.int64(69)) == "X"
-    assert clean_pair_gates(X2, Z2, np.int64(1)) == clean_pair_gates(X2, Z2, 1)
