@@ -10,6 +10,15 @@ stored as an int (``_integer``); an operand of the wrong type
 (``_expect``) or two operands of different widths (``_same_width``)
 raise a ``ValueError`` that names the operand and its value.
 
+``Circuit(...)`` checks every gate against its width. Pass outputs skip
+that re-check through ``Circuit._of``, which is safe where each gate
+already sat in a checked width-n circuit or was relabeled by a map into
+range(n): ``+`` and ``inverse``, the stage partition's compute stage,
+``merge_swaps``, the template pass and the synthesizers' peel loop,
+whose gates were applied to a width-n tableau, which has no column past
+n - 1. ``relabeled`` takes any map, so it and the new gates
+``extended`` takes stay checked.
+
 Gates are interned: the factories, ``Gate.inverse``, ``Gate.relabeled``
 and ``Circuit.from_text`` hand out one object per (kind, operands),
 checked when it is first made (``_gate``). Width n has 2n² + 4n distinct
@@ -112,8 +121,13 @@ class Gate:
 
     def relabeled(self, mapping) -> "Gate":
         """Return the gate with each qubit ``q`` replaced by ``mapping[q]``."""
+        operands = self.qubits
         try:
-            qubits = tuple([mapping[q] for q in self.qubits])
+            # A gate has one or two operands (GATE_ARITY).
+            if len(operands) == 2:
+                qubits = (mapping[operands[0]], mapping[operands[1]])
+            else:
+                qubits = (mapping[operands[0]],)
         except (LookupError, TypeError):
             for q in self.qubits:
                 try:
@@ -214,6 +228,15 @@ class Circuit:
                     f"gate {g} out of range for {self.n} qubit(s)"
                 )
 
+    @classmethod
+    def _of(cls, n: int, gates: Iterable[Gate]) -> "Circuit":
+        """A width-n circuit of gates, without the per-gate check: only
+        for gates that already passed it (module docstring)."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "n", n)
+        object.__setattr__(c, "gates", tuple(gates))
+        return c
+
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -223,7 +246,7 @@ class Circuit:
     def __add__(self, other: "Circuit") -> "Circuit":
         _expect(other, Circuit, "other")
         _same_width(self.n, other.n)
-        return Circuit(self.n, self.gates + other.gates)
+        return Circuit._of(self.n, self.gates + other.gates)
 
     @property
     def two_qubit_count(self) -> int:
@@ -234,7 +257,7 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind == kind)
 
     def inverse(self) -> "Circuit":
-        return Circuit(self.n, tuple(g.inverse() for g in reversed(self.gates)))
+        return Circuit._of(self.n, [g.inverse() for g in reversed(self.gates)])
 
     def extended(self, gates: Iterable[Gate]) -> "Circuit":
         return self + Circuit(self.n, gates)

@@ -423,7 +423,7 @@ def match_and_apply(
                 i += 1
                 continue
             if deadline is not None and time.monotonic() > deadline:
-                return Circuit(c.n, tuple(gates))
+                return Circuit._of(c.n, gates)
             root = roots.get(gates[i].kind)
             found = (
                 None if root is None
@@ -446,5 +446,5 @@ def match_and_apply(
             splice(i, last + 1, new)
             dirty[i:last + 1] = [True] * len(new)
             dirty[max(0, i - _WINDOW + 1):i] = [True] * min(i, _WINDOW - 1)
-    return Circuit(c.n, tuple(gates))
+    return Circuit._of(c.n, gates)
 

@@ -139,9 +139,8 @@ def conjugate_columns(
     on qubit q, and row r's phase is i**(e0_r + 2*e1_r), X before Z. The
     gate's columns are updated in place; the new phase planes are
     returned. This one rule serves a tableau, with 2n-row columns, and
-    the short stacks of the synthesis and stage layers: a Pauli pair in
-    two-bit columns and the stage partition's Pauli layer in one-bit
-    columns.
+    one-row stacks in one-bit columns: the stage partition's Pauli layer
+    and, once at import, the pair reducer's table of local-word signs.
     """
     kind = gate.kind
     # a is the only qubit, the CX control or the first two-qubit operand.

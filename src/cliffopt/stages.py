@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .circuit import (
     Circuit, Gate, PAULI_KINDS, _expect, _gate, _integer, cx, h, swap
 )
-from .pauli import _AXIS_BITS, PauliOperator, conjugate_columns
+from .pauli import _AXIS_BITS, _BITS_AXIS, PauliOperator, conjugate_columns
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,12 @@ class StagePartition:
 
 def pauli_layer_gates(p: PauliOperator) -> list[Gate]:
     _expect(p, PauliOperator, "p")
-    axes = [p.axis(q) for q in range(p.n)]
-    return [_gate(a.lower(), (q,)) for q, a in enumerate(axes) if a != "I"]
+    xs, zs = p.x_bits, p.z_bits
+    return [
+        _gate(_BITS_AXIS[xs >> q & 1, zs >> q & 1].lower(), (q,))
+        for q in range(p.n)
+        if (xs | zs) >> q & 1
+    ]
 
 
 def _transpositions(perm) -> list[tuple[int, int]]:
@@ -106,7 +110,7 @@ def partition_stages(c: Circuit) -> StagePartition:
     perm = tuple(wire.index(w) for w in range(n))
     xs, zs = (sum(b << q for q, b in enumerate(col)) for col in (px, pz))
     pauli = PauliOperator(n, xs, zs, e0 + 2 * e1)
-    return StagePartition(Circuit(n, tuple(compute)), perm, pauli)
+    return StagePartition(Circuit._of(n, compute), perm, pauli)
 
 
 def merge_swaps(p: StagePartition) -> Circuit:
@@ -161,7 +165,7 @@ def merge_swaps(p: StagePartition) -> Circuit:
             out.append(g.relabeled(relabel))
     for a, b in _transpositions(perm):
         out += [cx(a, b), cx(b, a), cx(a, b)]
-    return Circuit(n, tuple(out))
+    return Circuit._of(n, out)
 
 
 def _label_cycle(perm: list[int], cycle: list[int], start: int) -> None:

@@ -13,9 +13,12 @@ support into classes:
 
 Anticommutation forces |A| to be odd, so an anchor a = min(A) exists.
 A CX network then folds classes C, D, B and the remaining A pairs onto
-the anchor. One pass of these gates over the pair, held as a two-row
-tableau, gives the signs left on the anchor; a Pauli gate repairs them,
-and a SWAP moves the anchor to the target qubit. The CX count is exactly
+the anchor. The signs left on the anchor follow by rule: a CX keeps the
+phase of i^e X^x Z^z, and the network's one H acts on a qubit that
+carries no Z by then, so the network moves no sign. Each row ends with
+its own sign times the flips of its local words (``_LOCAL``). A
+Pauli gate repairs the signs, and a SWAP moves the anchor to the target
+qubit. The CX count is exactly
 
   |C| + |D| + (|B| + 1 if B else 0) + 3(|A| - 1)/2.
 
@@ -28,7 +31,7 @@ check their ``PauliOperator`` operands and pass the reducer their rows.
 from __future__ import annotations
 
 from ..circuit import Circuit, Gate, _expect, _gate, _same_width, cx, h, swap, x, y, z
-from ..pauli import _BITS_AXIS, PauliOperator, anticommute_bits, conjugate_columns
+from ..pauli import _AXIS_BITS, PauliOperator, anticommute_bits, conjugate_columns
 
 # Time-ordered single-qubit word standardizing one qubit's (O, O') letters.
 _LOCAL_WORDS: dict[tuple[str, str], tuple[str, ...]] = {
@@ -47,6 +50,29 @@ _LOCAL_WORDS: dict[tuple[str, str], tuple[str, ...]] = {
     ("I", "Z"): (),
     ("I", "X"): ("h",),
     ("I", "Y"): ("s", "h"),
+}
+
+
+def _flip(letter: str, word: tuple[str, ...]) -> int:
+    """1 when the word conjugates +letter on one qubit to a negative
+    letter. The words leave no Y, so the phase ends as 0 or 2."""
+    xb, zb = _AXIS_BITS[letter]
+    xs, zs = [xb], [zb]
+    e0, e1 = xb & zb, 0
+    for kind in word:
+        e0, e1 = conjugate_columns(_gate(kind, (0,)), xs, zs, e0, e1)
+    return e1
+
+
+# Per qubit, keyed by its bits x1 | z1 << 1 | x2 << 2 | z2 << 3 in the
+# rows (o, o2): its local word and the sign flips the word gives o (bit
+# 0) and o2 (bit 1).
+_LOCAL: dict[int, tuple[tuple[str, ...], int]] = {
+    xb1 | zb1 << 1 | xb2 << 2 | zb2 << 3: (
+        word, _flip(l1, word) | _flip(l2, word) << 1
+    )
+    for (l1, l2), word in _LOCAL_WORDS.items()
+    for (xb1, zb1), (xb2, zb2) in [(_AXIS_BITS[l1], _AXIS_BITS[l2])]
 }
 
 
@@ -115,16 +141,20 @@ def clean_pair_gates(o: tuple, o2: tuple, target: int) -> list[Gate]:
     a, b, c, d = map(_bits, _class_masks(x1, z1, x2, z2))
     if len(a) % 2 == 0:
         raise AssertionError(f"rows {o} and {o2} commute; cannot reduce them")
-    support = sorted(a + b + c + d)
     anchor = a[0]
-    # The standard form: one local word per supported qubit.
-    gates = [
-        _gate(kind, (q,))
-        for q in support
-        for kind in _LOCAL_WORDS[
-            _BITS_AXIS[x1 >> q & 1, z1 >> q & 1], _BITS_AXIS[x2 >> q & 1, z2 >> q & 1]
+    # Each row's own sign, (phase_exp - |x & z|) / 2 mod 2: bit 0 is o,
+    # bit 1 o2. The standard form, one local word per supported qubit,
+    # flips them.
+    signs = (ph1 - (x1 & z1).bit_count()) >> 1 & 1
+    signs |= ((ph2 - (x2 & z2).bit_count()) >> 1 & 1) << 1
+    gates = []
+    for q in _bits(x1 | z1 | x2 | z2):
+        word, flips = _LOCAL[
+            x1 >> q & 1 | (z1 >> q & 1) << 1
+            | (x2 >> q & 1) << 2 | (z2 >> q & 1) << 3
         ]
-    ]
+        gates += [_gate(kind, (q,)) for kind in word]
+        signs ^= flips
     gates += [cx(anchor, q) for q in c]
     gates += [cx(q, anchor) for q in d]
     if b:
@@ -134,21 +164,9 @@ def clean_pair_gates(o: tuple, o2: tuple, target: int) -> list[Gate]:
     rest = a[1:]
     for p, q in zip(rest[0::2], rest[1::2]):
         gates += [cx(q, p), cx(p, anchor), cx(anchor, q)]
-
-    # The pair as a two-row tableau on its support: bit 0 is o, bit 1 o2.
-    px, pz = {}, {}
-    for q in support:
-        px[q] = x1 >> q & 1 | (x2 >> q & 1) << 1
-        pz[q] = z1 >> q & 1 | (z2 >> q & 1) << 1
-    e0 = ph1 & 1 | (ph2 & 1) << 1
-    e1 = ph1 >> 1 | (ph2 >> 1) << 1
-    for gate in gates:
-        e0, e1 = conjugate_columns(gate, px, pz, e0, e1)
-    if e0 or px[anchor] != 0b01 or pz[anchor] != 0b10:
-        raise AssertionError("the pair did not reduce to (X, Z) on its anchor")
-    # e1 holds the pair's signs: -X fixed by Z, -Z by X, both by Y.
-    if e1:
-        gates.append((z, x, y)[e1 - 1](anchor))
+    # The signs left on the anchor: -X fixed by Z, -Z by X, both by Y.
+    if signs:
+        gates.append((z, x, y)[signs - 1](anchor))
     if anchor != target:
         gates.append(swap(target, anchor))
     return gates

@@ -129,12 +129,12 @@ def _peel(t: CliffordTableau, step) -> Circuit:
     while act:
         dr_gates, j = step(work, sorted(act), emit)
         if dr_gates:
-            work = work.right_apply_circuit(Circuit(n, tuple(dr_gates)).inverse())
+            work = work.right_apply_circuit(Circuit._of(n, dr_gates).inverse())
             right.extend(dr_gates)
         act.remove(j)
     if not work.is_identity():
         raise AssertionError("synthesis left a non-identity residue")
-    return Circuit(n, (*right, *(g.inverse() for g in reversed(left))))
+    return Circuit._of(n, (*right, *(g.inverse() for g in reversed(left))))
 
 
 def greedy_unidirectional(t: CliffordTableau) -> Circuit:

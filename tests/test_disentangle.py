@@ -1,5 +1,6 @@
 """Pair reduction: class split, exactness, and cost."""
 
+import itertools
 import random
 import re
 
@@ -13,7 +14,15 @@ from cliffopt import (
     disentangle_cost,
     disentangler,
 )
-from cliffopt.synth.disentangle import clean_pair_gates, pair_cost_bits
+from cliffopt.circuit import PAULI_KINDS, _gate, cx, h, swap, x, y, z
+from cliffopt.pauli import _BITS_AXIS, conjugate_columns
+from cliffopt.synth.disentangle import (
+    _LOCAL_WORDS,
+    _bits,
+    _class_masks,
+    clean_pair_gates,
+    pair_cost_bits,
+)
 
 from _dense import circuit_unitary, conjugate_dense, pauli_matrix
 
@@ -34,6 +43,76 @@ def random_anticommuting_pair(rng: random.Random, n: int):
         n, x2, z2, ((x2 & z2).bit_count() + 2 * rng.getrandbits(1)) % 4
     )
     return p1, p2
+
+
+def reference_clean_pair_gates(o: tuple, o2: tuple, target: int) -> list:
+    """clean_pair_gates with its signs found by simulation: the gates of
+    the standard form and the CX network are passed over the pair, held
+    as a two-row tableau, and the signs are read off the anchor."""
+    (x1, z1, ph1), (x2, z2, ph2) = o, o2
+    a, b, c, d = map(_bits, _class_masks(x1, z1, x2, z2))
+    assert len(a) % 2 == 1
+    support = sorted(a + b + c + d)
+    anchor = a[0]
+    gates = [
+        _gate(kind, (q,))
+        for q in support
+        for kind in _LOCAL_WORDS[
+            _BITS_AXIS[x1 >> q & 1, z1 >> q & 1], _BITS_AXIS[x2 >> q & 1, z2 >> q & 1]
+        ]
+    ]
+    gates += [cx(anchor, q) for q in c]
+    gates += [cx(q, anchor) for q in d]
+    if b:
+        i = b[0]
+        gates += [cx(i, q) for q in b[1:]]
+        gates += [cx(anchor, i), h(i), cx(i, anchor)]
+    rest = a[1:]
+    for p, q in zip(rest[0::2], rest[1::2]):
+        gates += [cx(q, p), cx(p, anchor), cx(anchor, q)]
+    # Bit 0 of each column is o, bit 1 o2.
+    px, pz = {}, {}
+    for q in support:
+        px[q] = x1 >> q & 1 | (x2 >> q & 1) << 1
+        pz[q] = z1 >> q & 1 | (z2 >> q & 1) << 1
+    e0 = ph1 & 1 | (ph2 & 1) << 1
+    e1 = ph1 >> 1 | (ph2 >> 1) << 1
+    for gate in gates:
+        e0, e1 = conjugate_columns(gate, px, pz, e0, e1)
+    assert e0 == 0 and px[anchor] == 0b01 and pz[anchor] == 0b10
+    assert all(px[q] == pz[q] == 0 for q in support if q != anchor)
+    if e1:
+        gates.append((z, x, y)[e1 - 1](anchor))
+    if anchor != target:
+        gates.append(swap(target, anchor))
+    return gates
+
+
+def test_reducer_signs_match_simulation_exhaustively():
+    # Every signed anticommuting Hermitian pair on one and two qubits,
+    # onto every target: the gates, the final Pauli among them, equal the
+    # simulated reference, and they reduce the pair exactly.
+    checked = fixed = 0
+    for n in (1, 2):
+        letters = range(1 << n)
+        for x1, z1, x2, z2 in itertools.product(letters, repeat=4):
+            if not ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2:
+                continue
+            for s1, s2 in itertools.product((0, 2), repeat=2):
+                o = (x1, z1, ((x1 & z1).bit_count() + s1) % 4)
+                o2 = (x2, z2, ((x2 & z2).bit_count() + s2) % 4)
+                p, p2 = PauliOperator(n, *o), PauliOperator(n, *o2)
+                for t in range(n):
+                    gates = clean_pair_gates(o, o2, t)
+                    assert gates == reference_clean_pair_gates(o, o2, t)
+                    circuit = Circuit(n, gates)
+                    assert conjugate_pauli(circuit, p) == PauliOperator(n, 1 << t, 0)
+                    assert conjugate_pauli(circuit, p2) == PauliOperator(n, 0, 1 << t)
+                    checked += 1
+                    fixed += any(g.kind in PAULI_KINDS for g in gates)
+    # 6 * 4 signed pairs on one qubit; 120 * 4 on two, onto 2 targets.
+    assert checked == 24 + 960
+    assert 0 < fixed < checked
 
 
 def test_standard_form_classes():
@@ -73,6 +152,7 @@ def test_reducer_lands_on_every_target():
             o, o2 = [(q.x_bits, q.z_bits, q.phase_exp) for q in (p, p2)]
             for t in range(n):
                 gates = clean_pair_gates(o, o2, t)
+                assert gates == reference_clean_pair_gates(o, o2, t)
                 circuit = Circuit(n, gates)
                 assert conjugate_pauli(circuit, p) == PauliOperator(n, 1 << t, 0)
                 assert conjugate_pauli(circuit, p2) == PauliOperator(n, 0, 1 << t)

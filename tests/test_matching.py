@@ -165,6 +165,8 @@ def test_rewrites_preserve_tableau():
         circuits.append(random_circuit(rng, n, rng.randrange(0, 40)))
     for c in circuits:
         out = match_and_apply(c)
+        # The output skips Circuit's per-gate check; it must pass it.
+        assert Circuit(out.n, out.gates) == out
         assert circuit_to_tableau(out) == circuit_to_tableau(c)
         assert (out.two_qubit_count, len(out)) <= (
             c.two_qubit_count,

@@ -180,6 +180,42 @@ def test_gates_are_made_in_circuit():
     assert _modules_where(builds_gate) == {"circuit.py"}
 
 
+def test_unchecked_circuit_callers_are_pinned():
+    # Circuit._of skips the per-gate check, so its every caller passes
+    # gates that already passed it (circuit.py's docstring). A new call
+    # is a deliberate edit of this list, one entry per call.
+    src = ROOT / "src" / "cliffopt"
+    calls = []
+    for path in src.rglob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                scopes.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                scopes += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+        for name, scope in scopes:
+            calls += [
+                f"{path.relative_to(src).as_posix()}: {name}"
+                for node in ast.walk(scope)
+                if isinstance(node, ast.Attribute) and node.attr == "_of"
+            ]
+    assert sorted(calls) == [
+        "circuit.py: Circuit.__add__",
+        "circuit.py: Circuit.inverse",
+        "matching.py: match_and_apply",
+        "matching.py: match_and_apply",
+        "stages.py: merge_swaps",
+        "stages.py: partition_stages",
+        "synth/greedy.py: _peel",
+        "synth/greedy.py: _peel",
+    ]
+
+
 def test_no_assert_in_package():
     # python -O strips assert statements; an invariant check raises
     # explicitly so that it runs under every interpreter flag.

@@ -1,13 +1,21 @@
 """Stage partition and SWAP merging keep the tableau, signs included."""
 
 import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffopt import Circuit, PauliOperator, circuit_to_tableau
+from cliffopt import (
+    Circuit,
+    PauliOperator,
+    ag_canonical,
+    circuit_to_tableau,
+    greedy_bidirectional,
+    greedy_unidirectional,
+)
 from cliffopt.circuit import PAULI_KINDS
 from cliffopt.stages import (
     StagePartition,
@@ -15,6 +23,7 @@ from cliffopt.stages import (
     partition_stages,
     pauli_layer_gates,
 )
+from cliffopt.matching import match_and_apply
 
 from _util import gate_pool, random_circuit
 
@@ -49,6 +58,32 @@ def test_merge_swaps_then_pauli_layer_keeps_tableau(c):
     assert merged.two_qubit_count <= p.to_circuit().two_qubit_count
     out = merged.extended(pauli_layer_gates(p.pauli))
     assert circuit_to_tableau(out) == circuit_to_tableau(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=circuits())
+def test_unchecked_pass_outputs_are_valid(c):
+    # These outputs skip Circuit's per-gate check (Circuit._of); each must
+    # be what the public constructor builds from its width and gates.
+    t = circuit_to_tableau(c)
+    p = partition_stages(c)
+    merged = merge_swaps(p)
+    outputs = [
+        greedy_unidirectional(t),
+        greedy_bidirectional(t),
+        greedy_bidirectional(t, random.Random(len(c))),
+        ag_canonical(t),
+        p.compute,
+        merged,
+        match_and_apply(merged),
+        match_and_apply(c),
+        match_and_apply(c, deadline=-math.inf),
+        c + p.compute,
+        c.inverse(),
+    ]
+    for out in outputs:
+        assert type(out.n) is int and type(out.gates) is tuple
+        assert Circuit(out.n, out.gates) == out
 
 
 def test_merge_outputs_match_recorded_digest():
